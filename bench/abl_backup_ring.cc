@@ -79,7 +79,7 @@ main(int argc, char **argv)
                 eth::EthNic *dst = &rig.nic;
                 rig.peer.txLink()->send(f.bytes,
                                         [dst, f] { dst->receive(f); });
-            });
+            }, "bench.abl_backup_ring.inject");
         }
         rig.eq.run();
         const eth::RxRing::Stats &s = rig.nic.ring(rig.ring).stats;

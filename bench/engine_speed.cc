@@ -66,7 +66,8 @@ scheduleDrain(Engine &eq, std::uint64_t n, std::uint32_t seed)
     for (std::uint64_t i = 0; i < n; ++i) {
         PacketLike pkt{};
         pkt.seq = i;
-        eq.scheduleAfter(d(rng), [&sink, pkt] { sink += pkt.seq; });
+        eq.scheduleAfter(d(rng), [&sink, pkt] { sink += pkt.seq; },
+                         "bench.engine_speed.packet");
     }
     eq.run();
     return 2 * n; // one schedule + one execution per event
@@ -93,17 +94,19 @@ cancelHeavy(Engine &eq, std::uint64_t n)
     std::uint64_t sink = 0;
     decltype(eq.schedule(0, [] {})) timers[3] = {};
     for (auto &t : timers)
-        t = eq.scheduleAfter(kHorizon[0], [&sink] { ++sink; });
+        t = eq.scheduleAfter(kHorizon[0], [&sink] { ++sink; },
+                             "bench.engine_speed.timer");
     for (std::uint64_t i = 0; i < n; ++i) {
         PacketLike pkt{};
         pkt.seq = i;
         eq.scheduleAfter(sim::kMicrosecond,
-                         [&sink, pkt] { sink += pkt.seq; });
+                         [&sink, pkt] { sink += pkt.seq; },
+                         "bench.engine_speed.packet");
         eq.step();
         for (unsigned t = 0; t < 3; ++t) {
             eq.cancel(timers[t]);
-            timers[t] =
-                eq.scheduleAfter(kHorizon[t], [&sink] { ++sink; });
+            timers[t] = eq.scheduleAfter(
+                kHorizon[t], [&sink] { ++sink; }, "bench.engine_speed.timer");
         }
     }
     eq.run();
@@ -134,7 +137,8 @@ mixed(Engine &eq, std::uint64_t n, std::uint32_t seed,
             pkt.seq = i;
             auto id = eq.scheduleAfter(
                 delay(rng),
-                [&mix, &eq, pkt] { mix(eq.now() ^ pkt.seq); });
+                [&mix, &eq, pkt] { mix(eq.now() ^ pkt.seq); },
+                "bench.engine_speed.packet");
             if (recent.size() < 4096)
                 recent.push_back(id);
         } else if (r < 85) { // execute next

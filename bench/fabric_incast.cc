@@ -116,7 +116,8 @@ struct QueueProbe
         sumDepth += depth;
         ++samples;
         if (done < total)
-            eq.scheduleAfter(50'000, [this] { tick(); });
+            eq.scheduleAfter(50'000, [this] { tick(); },
+                             "bench.fabric_incast.sample");
     }
 };
 

@@ -189,7 +189,8 @@ runPool(sim::EventQueue &eq, load::ClientPool &pool,
     pool.start();
     // Pool counters (timeouts/retries/shed) cover the measure window
     // only, like the recorder's latencies.
-    eq.schedule(a.warmup, [&pool] { pool.resetCounters(); });
+    eq.schedule(a.warmup, [&pool] { pool.resetCounters(); },
+                "bench.load_sweep.window");
     eq.runUntil(a.warmup + a.duration);
     pool.stop();
 

@@ -78,6 +78,27 @@ if cmp -s "$smokedir/load1.a.txt" "$smokedir/load2.a.txt"; then
     echo "FAIL: load seeds 1 and 2 produced identical runs"
     exit 1
 fi
+# Memory bound: the client pool's footprint is O(clients), not
+# clients x endpoints (docs/WORKLOADS.md). 100k clients over 64
+# endpoints must peak below a fixed RSS ceiling in the plain build
+# (ASan inflates RSS). python3 reads the child's peak RSS, so no
+# /usr/bin/time is needed.
+rss_ceiling_kb=262144
+rss_kb=$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+    ./build/bench/load_sweep --clients=100000 --endpoints=64 \
+    --rates=20k --warmup=50ms --duration=50ms) || {
+    echo "FAIL: load_sweep memory-gate run failed"
+    exit 1
+}
+if [ "$rss_kb" -gt "$rss_ceiling_kb" ]; then
+    echo "FAIL: load_sweep 100k clients x 64 endpoints peaked at" \
+         "${rss_kb} KiB RSS (ceiling ${rss_ceiling_kb} KiB)"
+    exit 1
+fi
+echo "load memory gate: peak RSS ${rss_kb} KiB <= ${rss_ceiling_kb} KiB"
 
 echo "== tier 5: engine smoke (engine_speed --smoke) =="
 # Reduced-scale run of the event-engine microbench: proves the ladder

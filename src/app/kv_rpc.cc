@@ -134,7 +134,7 @@ KvRcServer::handleRequest(Session &s)
                 value_send ? kr.valueAddr : mem::VirtAddr(0),
                 value_send ? cfg_.valueBytes + 48 : std::size_t(0)});
         raw->qp->postSend(wr);
-    });
+    }, "app.kv_rpc.reply");
 }
 
 // --- KvRcTransport ----------------------------------------------------

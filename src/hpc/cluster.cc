@@ -162,7 +162,7 @@ Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
                 if (inner)
                     inner();
             } else {
-                eq_.scheduleAfter(t, inner);
+                eq_.scheduleAfter(t, inner, "hpc.cluster.unmap");
             }
         };
     }
@@ -191,7 +191,7 @@ Cluster::isend(unsigned src, unsigned dst, mem::VirtAddr buf,
     if (pre == 0)
         post();
     else
-        eq_.scheduleAfter(pre, post);
+        eq_.scheduleAfter(pre, post, "hpc.cluster.post");
 }
 
 void
@@ -219,7 +219,7 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     if (copy_out) {
         // Deliver after the CPU copies out of the bounce buffer.
         wrapped = [this, len, inner = std::move(wrapped)] {
-            eq_.scheduleAfter(copyCost(len), inner);
+            eq_.scheduleAfter(copyCost(len), inner, "hpc.cluster.copy_out");
         };
     } else if (mode_ == RegMode::NpRdma) {
         // Per-IO unmap: charged between DMA completion and delivery.
@@ -229,7 +229,7 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
                 if (inner)
                     inner();
             } else {
-                eq_.scheduleAfter(t, inner);
+                eq_.scheduleAfter(t, inner, "hpc.cluster.unmap");
             }
         };
     }
@@ -245,7 +245,7 @@ Cluster::irecv(unsigned dst, unsigned src, mem::VirtAddr buf,
     if (pre == 0)
         post();
     else
-        eq_.scheduleAfter(pre, post);
+        eq_.scheduleAfter(pre, post, "hpc.cluster.post");
 }
 
 std::uint64_t

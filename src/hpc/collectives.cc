@@ -155,9 +155,9 @@ Collectives::allreduce(std::size_t len, unsigned iter, Done done)
         auto ctr = std::make_shared<Counter>();
         ctr->done = [this, round, mask, len] {
             // All ranks reduce in parallel: one reduction latency.
-            c_.eventQueue().scheduleAfter(c_.reduceCost(len), [round, mask] {
-                (*round)(mask << 1);
-            });
+            c_.eventQueue().scheduleAfter(
+                c_.reduceCost(len), [round, mask] { (*round)(mask << 1); },
+                "hpc.allreduce.reduce");
         };
         int ops = 0;
         for (unsigned r = 0; r < n; ++r) {

@@ -1,7 +1,8 @@
 #include "load/client_pool.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace npf::load {
 
@@ -13,14 +14,20 @@ ClientPool::ClientPool(sim::EventQueue &eq, PoolConfig cfg)
 {
     if (cfg_.clients == 0)
         cfg_.clients = 1;
+    // Client indices are uint32_t and kNil ends every FIFO link.
+    if (cfg_.clients >= kNil) {
+        std::fprintf(stderr,
+                     "ClientPool: %llu clients; must be below 2^32 - 1\n",
+                     static_cast<unsigned long long>(cfg_.clients));
+        std::abort();
+    }
     clients_.resize(cfg_.clients);
     if (cfg_.sweepInterval == 0 && cfg_.timeout != 0)
         cfg_.sweepInterval = std::max<sim::Time>(cfg_.timeout / 4, 1);
     wheel_.resize(cfg_.calendarSlots);
-    // Both rings have hard occupancy bounds; size them up front so a
-    // rare burst never regrows them inside an alloc-gated measure
+    // The backlog has a hard occupancy bound; size it up front so a
+    // rare burst never regrows it inside an alloc-gated measure
     // window (bench/stack_bench.cc asserts steady-state allocs == 0).
-    idle_.reserve(cfg_.clients);
     backlog_.reserve(std::size_t(cfg_.backlogFactor) * cfg_.clients);
 
     obs_.init("load.pool");
@@ -44,6 +51,12 @@ ClientPool::~ClientPool()
 unsigned
 ClientPool::addEndpoint(Transport &t, int attrLane)
 {
+    if (started_) {
+        std::fprintf(stderr, "ClientPool: addEndpoint() after start()\n");
+        std::abort();
+    }
+    if (attrLane >= 0 && snaps_.empty())
+        snaps_.resize(cfg_.clients);
     Endpoint ep;
     ep.t = &t;
     ep.attrLane = attrLane;
@@ -62,13 +75,15 @@ ClientPool::setRecorder(Recorder &rec)
 void
 ClientPool::start()
 {
-    assert(!eps_.empty() && "pool needs at least one endpoint");
+    if (eps_.empty() || started_) {
+        std::fprintf(stderr, "ClientPool: start() %s\n",
+                     started_ ? "called twice" : "with no endpoints");
+        std::abort();
+    }
     started_ = true;
-    for (Endpoint &ep : eps_)
-        ep.inflight.reserve(cfg_.clients); // <= 1 in flight per client
     if (cfg_.workload.arrival.open()) {
         for (std::uint32_t c = 0; c < cfg_.clients; ++c)
-            idle_.push_back(c);
+            pushBack(idle_, c);
         armArrival();
     } else {
         // Closed loop: every client fires immediately. Index order is
@@ -93,7 +108,6 @@ ClientPool::stop()
     for (auto &slot : wheel_)
         slot.clear();
     wheelCount_ = 0;
-    started_ = false;
 }
 
 std::size_t
@@ -101,8 +115,30 @@ ClientPool::inFlight() const
 {
     std::size_t n = 0;
     for (const Endpoint &ep : eps_)
-        n += ep.inflight.size();
+        n += ep.inflight.size;
     return n;
+}
+
+void
+ClientPool::pushBack(Fifo &f, std::uint32_t c)
+{
+    clients_[c].next = kNil;
+    if (f.size == 0)
+        f.head = c;
+    else
+        clients_[f.tail].next = c;
+    f.tail = c;
+    ++f.size;
+}
+
+std::uint32_t
+ClientPool::popFront(Fifo &f)
+{
+    std::uint32_t c = f.head;
+    f.head = clients_[c].next;
+    if (--f.size == 0)
+        f.tail = kNil;
+    return c;
 }
 
 void
@@ -147,10 +183,11 @@ ClientPool::send(std::uint32_t c)
 
     std::uint32_t serial = ep.nextSerial++ & kSerialMask;
     ep.nextSerial &= kSerialMask;
-    ep.inflight.push_back(InFlight{serial, c, cl.intended, eq_.now(), {}});
+    cl.serial = serial;
+    cl.sent = eq_.now();
+    pushBack(ep.inflight, c);
     if (ep.attrLane >= 0)
-        obs::attributor().snapshot(ep.attrLane,
-                                   ep.inflight.back().snap);
+        obs::attributor().snapshot(ep.attrLane, snaps_[c]);
 
     cl.state = Client::State::InFlight;
     ++issued_;
@@ -167,17 +204,17 @@ void
 ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
 {
     Endpoint &ep = eps_[epIdx];
-    if (ep.inflight.empty() || ep.inflight.front().serial != serial) {
+    if (ep.inflight.size == 0 ||
+        clients_[ep.inflight.head].serial != serial) {
         // Response to a request the timeout sweep already abandoned
         // (transports deliver in issue order, so a mismatched front
         // means the matching entry was popped, never reordered).
         ++late_;
         return;
     }
-    InFlight f = ep.inflight.front();
-    ep.inflight.pop_front();
+    std::uint32_t c = popFront(ep.inflight);
 
-    Client &cl = clients_[f.client];
+    Client &cl = clients_[c];
     ++completions_;
     if (hit)
         ++hits_;
@@ -188,7 +225,7 @@ ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
         hpsSeries_->record(now);
     if (rec_) {
         Recorder::ClassId cls = cl.isSet ? setClass_ : getClass_;
-        rec_->recordLatency(cls, f.intended, f.sent, now);
+        rec_->recordLatency(cls, cl.intended, cl.sent, now);
         if (ep.attrLane >= 0) {
             // Phase-attribute the sojourn: blocking phases are the
             // lane's accumulation over the request's wire window; the
@@ -196,21 +233,22 @@ ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
             // e2e exactly (see obs/attribution.hh).
             obs::PhaseBreakdown end;
             obs::attributor().snapshot(ep.attrLane, end);
+            const obs::PhaseBreakdown &snap = snaps_[c];
             obs::PhaseBreakdown bd;
             std::int64_t blocking = 0;
             for (unsigned i = 0; i < obs::kPhaseCount; ++i) {
-                bd.ns[i] = end.ns[i] - f.snap.ns[i];
+                bd.ns[i] = end.ns[i] - snap.ns[i];
                 blocking += bd.ns[i];
             }
-            bd.e2e = std::int64_t(now - f.intended);
+            bd.e2e = std::int64_t(now - cl.intended);
             bd.ns[unsigned(obs::Phase::Backlog)] =
-                std::int64_t(f.sent - f.intended);
+                std::int64_t(cl.sent - cl.intended);
             bd.ns[unsigned(obs::Phase::Queue)] =
-                std::int64_t(now - f.sent) - blocking;
+                std::int64_t(now - cl.sent) - blocking;
             rec_->recordBreakdown(cls, bd, now);
         }
     }
-    finishClient(f.client);
+    finishClient(c);
 }
 
 void
@@ -226,7 +264,7 @@ ClientPool::finishClient(std::uint32_t c)
             issueNew(c, intended);
         } else {
             cl.state = Client::State::Idle;
-            idle_.push_back(c);
+            pushBack(idle_, c);
         }
         return;
     }
@@ -267,10 +305,8 @@ ClientPool::onArrival()
 {
     arrivalEvent_ = sim::kInvalidEvent;
     sim::Time intended = eq_.now();
-    if (!idle_.empty()) {
-        std::uint32_t c = idle_.front();
-        idle_.pop_front();
-        issueNew(c, intended);
+    if (idle_.size != 0) {
+        issueNew(popFront(idle_), intended);
     } else if (backlog_.size() <
                std::size_t(cfg_.backlogFactor) * cfg_.clients) {
         backlog_.push_back(intended);
@@ -352,22 +388,21 @@ ClientPool::sweep()
 {
     sim::Time now = eq_.now();
     for (Endpoint &ep : eps_) {
-        while (!ep.inflight.empty() &&
-               now - ep.inflight.front().sent >= cfg_.timeout) {
-            InFlight f = ep.inflight.front();
-            ep.inflight.pop_front();
+        while (ep.inflight.size != 0 &&
+               now - clients_[ep.inflight.head].sent >= cfg_.timeout) {
+            std::uint32_t c = popFront(ep.inflight);
             ++timeouts_;
-            Client &cl = clients_[f.client];
+            Client &cl = clients_[c];
             if (cl.attempt < cfg_.maxRetries) {
                 ++cl.attempt;
                 cl.state = Client::State::Backoff;
-                calendarInsert(now + backoffDelay(cl.attempt), f.client);
+                calendarInsert(now + backoffDelay(cl.attempt), c);
             } else {
                 ++giveups_;
                 if (rec_)
                     rec_->recordTimeout(cl.isSet ? setClass_ : getClass_,
-                                        f.intended, now);
-                finishClient(f.client);
+                                        cl.intended, now);
+                finishClient(c);
             }
         }
     }

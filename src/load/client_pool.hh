@@ -13,8 +13,13 @@
  *    (think times and retry backoffs), one timeout-sweep event.
  *    Completions ride the transports' own callbacks;
  *  - in-flight requests are matched FIFO per endpoint (transports
- *    are ordered channels), so no per-request maps exist — just a
- *    bounded deque per endpoint.
+ *    are ordered channels), so no per-request maps exist. A client
+ *    has at most one request on the wire, so the request's serial
+ *    and send time live in the client itself, and each endpoint's
+ *    FIFO is intrusive: head/tail indices threaded through the
+ *    clients' `next` links. The open-loop free list reuses the same
+ *    link (an idle client is never in flight), so the footprint is
+ *    O(clients) whatever the endpoint count.
  *
  * Open-loop modes draw their arrival schedule up front from a seeded
  * process (see arrival.hh); when every logical client is busy the
@@ -107,7 +112,8 @@ class ClientPool
     ClientPool &operator=(const ClientPool &) = delete;
 
     /**
-     * Attach a transport endpoint (before start()). @return index.
+     * Attach a transport endpoint (before start(); aborts after it).
+     * @return index.
      * @p attrLane optionally names the obs::Attributor lane the
      * endpoint's requests travel through (-1 = no attribution); when
      * set, the pool snapshots the lane at send and diffs at complete
@@ -121,7 +127,8 @@ class ClientPool
      */
     void setRecorder(Recorder &rec);
 
-    /** Begin generating load. */
+    /** Begin generating load. Aborts without an endpoint or when
+     *  called a second time (the FIFO links are live). */
     void start();
 
     /** Cancel all pending generator events. */
@@ -160,6 +167,9 @@ class ClientPool
     void resetCounters();
 
   private:
+    /** End-of-list sentinel for the intrusive FIFO links. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
     /** Flyweight per-client state (flat array entry). */
     struct Client
     {
@@ -172,31 +182,35 @@ class ClientPool
 
         std::uint64_t key = 0;     ///< pending request key
         sim::Time intended = 0;    ///< schedule position (CO anchor)
+        sim::Time sent = 0;        ///< wire time of the current attempt
         sim::Time wakeAt = 0;      ///< calendar re-check guard
+        std::uint32_t serial = 0;  ///< endpoint serial while in flight
+        /** Next client in the FIFO this one is on: its endpoint's
+         *  in-flight window (InFlight) or the free list (Idle). */
+        std::uint32_t next = kNil;
         std::uint8_t attempt = 0;  ///< resend count for this request
         bool isSet = false;
         State state = State::Idle;
     };
 
-    /** One in-flight request on an endpoint (FIFO). */
-    struct InFlight
+    /** Intrusive FIFO of client indices, linked by Client::next. */
+    struct Fifo
     {
-        std::uint32_t serial = 0;
-        std::uint32_t client = 0;
-        sim::Time intended = 0;
-        sim::Time sent = 0;
-        /** Attribution-lane snapshot at send (lanes enabled only). */
-        obs::PhaseBreakdown snap;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t size = 0;
     };
 
     struct Endpoint
     {
         Transport *t = nullptr;
-        sim::RingDeque<InFlight> inflight; ///< FIFO-matched window
+        Fifo inflight; ///< FIFO-matched window, in issue order
         std::uint32_t nextSerial = 0;
         int attrLane = -1;
     };
 
+    void pushBack(Fifo &f, std::uint32_t c);
+    std::uint32_t popFront(Fifo &f);
     unsigned endpointFor(std::uint32_t c);
     void issueNew(std::uint32_t c, sim::Time intended);
     void send(std::uint32_t c);
@@ -217,11 +231,14 @@ class ClientPool
     std::unique_ptr<KeyModel> keys_;
 
     std::vector<Client> clients_;   ///< flat flyweight state
+    /** Per-client attribution-lane snapshot at send; allocated only
+     *  once an endpoint with an attribution lane is added. */
+    std::vector<obs::PhaseBreakdown> snaps_;
     std::vector<Endpoint> eps_;
     unsigned rrNext_ = 0;           ///< open-loop endpoint round-robin
 
     // Open loop: free clients + surplus arrivals (intended times).
-    sim::RingDeque<std::uint32_t> idle_;
+    Fifo idle_;
     sim::RingDeque<sim::Time> backlog_;
 
     // Calendar wheel: slots of client indices, one armed event.
@@ -234,7 +251,7 @@ class ClientPool
 
     sim::EventId arrivalEvent_ = sim::kInvalidEvent;
     sim::EventId sweepEvent_ = sim::kInvalidEvent;
-    bool started_ = false;
+    bool started_ = false; ///< latched by start(); stop() keeps it
 
     Recorder *rec_ = nullptr;
     Recorder::ClassId getClass_ = 0;

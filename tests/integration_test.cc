@@ -2,13 +2,21 @@
  * @file
  * Cross-module integration tests: miniature versions of the paper's
  * headline experiments asserting the comparative results (who wins,
- * who fails), plus the implemented future-work extensions.
+ * who fails), plus the implemented future-work extensions, and a
+ * check that every event the eth, IB and HPC stacks schedule carries
+ * a site label for the event-loop profiler.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "app/kv_rpc.hh"
 #include "app/memcached.hh"
+#include "hpc/imb.hh"
 #include "ib/queue_pair.hh"
+#include "load/client_pool.hh"
 #include "net/fabric.hh"
 #include "testbed.hh"
 
@@ -235,4 +243,124 @@ TEST(Integration, StreamUnderSyntheticFaultsBackupBeatsDrop)
     EXPECT_GT(backup, 1.5 * drop)
         << "Fig. 10: the backup ring sustains throughput under "
            "faults that cripple dropping";
+}
+
+// --- event-site labels --------------------------------------------------
+
+namespace {
+
+/** Every profiled event must carry a non-empty schedule-site label
+ *  (unlabeled events land on the profiler's "" entry). */
+void
+expectEveryEventLabelled(const sim::EventQueue &eq)
+{
+    ASSERT_FALSE(eq.siteProfiles().empty());
+    std::string seen;
+    for (const auto &[site, prof] : eq.siteProfiles())
+        seen += std::string(" ") + site;
+    for (const auto &[site, prof] : eq.siteProfiles())
+        EXPECT_NE(site[0], '\0')
+            << prof.count << " unlabeled events; sites:" << seen;
+}
+
+} // namespace
+
+TEST(EventSites, EthMemcachedEventsAreAllLabelled)
+{
+    // Cold server ring with the backup ring: TCP, eth NIC, backup-ring
+    // resolver, link and memcached reply events all fire.
+    test::EthTestbed tb(eth::RxFaultPolicy::BackupRing, 256);
+    tb.eq.enableProfile(true);
+    app::HostModel host;
+    host.addInstance();
+    app::KvStore kv(*tb.serverAs, 32 * MiB, 1024);
+    app::MemcachedServer server(tb.eq, kv, host);
+    for (std::uint64_t k = 0; k < 500; ++k)
+        kv.set(k);
+    ASSERT_TRUE(tb.connect(1));
+    app::RpcChannel ch(tb.client->connection(1), tb.server->connection(1));
+    server.serve(ch);
+    app::Memaslap slap(tb.eq, {&ch}, app::MemaslapConfig{0.9, 500, 4, 64});
+    slap.start();
+    tb.eq.runUntilCondition([&] { return slap.transactions() >= 2000; },
+                            tb.eq.now() + 120 * sim::kSecond);
+    EXPECT_GE(slap.transactions(), 2000u);
+    expectEveryEventLabelled(tb.eq);
+}
+
+TEST(EventSites, IbKvRpcEventsAreAllLabelled)
+{
+    // Open-loop pool over the zero-copy KV RPC on RC QPs through the
+    // legacy star fabric, with cold value pages (send-side NPFs) and
+    // a request timeout long enough to never fire (pool sweep).
+    sim::EventQueue eq;
+    eq.enableProfile(true);
+    net::Fabric fabric{eq, 2,
+                       net::FabricConfig{net::LinkConfig{56e9, 300, 32},
+                                         200}};
+    mem::MemoryManager serverMm{2ull << 30}, clientMm{2ull << 30};
+    mem::AddressSpace &serverAs = serverMm.createAddressSpace("srv");
+    mem::AddressSpace &clientAs = clientMm.createAddressSpace("cli");
+    core::NpfController serverNpfc{eq}, clientNpfc{eq};
+    core::ChannelId sch = serverNpfc.attach(serverAs);
+    core::ChannelId cch = clientNpfc.attach(clientAs);
+
+    app::HostModel host;
+    host.addInstance();
+    app::KvStore kv(serverAs, 256 * MiB, 1024);
+    app::KvRcServer server(eq, kv, host, serverAs);
+    for (std::uint64_t k = 0; k < 500; ++k)
+        kv.set(k);
+
+    load::PoolConfig pc;
+    pc.clients = 200;
+    pc.seed = 23;
+    pc.workload.arrival.kind = load::ArrivalSpec::Kind::Poisson;
+    pc.workload.arrival.ratePerSec = 50e3;
+    pc.workload.keys.kind = load::KeySpec::Kind::Zipf;
+    pc.workload.keys.keys = 500;
+    pc.timeout = 50 * sim::kMillisecond;
+    load::ClientPool pool(eq, pc);
+
+    ib::QueuePair qpS(eq, fabric, 0, serverNpfc, sch);
+    ib::QueuePair qpC(eq, fabric, 1, clientNpfc, cch);
+    qpS.connect(qpC);
+    qpC.connect(qpS);
+    auto reqs = std::make_shared<sim::RingDeque<app::KvRpcRequest>>();
+    auto rsps = std::make_shared<sim::RingDeque<app::KvRpcResponse>>();
+    server.addSession(qpS, reqs, rsps);
+    app::KvRcTransport t(qpC, clientAs, reqs, rsps, {});
+    t.connect(pool);
+
+    pool.start();
+    eq.runUntil(20 * sim::kMillisecond);
+    pool.stop();
+    EXPECT_GT(pool.completions(), 500u);
+    EXPECT_EQ(pool.timeouts(), 0u);
+    EXPECT_GT(qpS.stats().sendNpfs, 0u);
+    expectEveryEventLabelled(eq);
+}
+
+TEST(EventSites, HpcClusterEventsAreAllLabelled)
+{
+    // Rendezvous sends under per-IO NP-RDMA mapping (pre-post and
+    // unmap delays), eager copies, and an allreduce's reductions.
+    sim::EventQueue eq;
+    eq.enableProfile(true);
+    hpc::ClusterConfig cfg;
+    cfg.ranks = 4;
+    cfg.memoryPerRank = 1ull << 30;
+    hpc::Cluster c(eq, cfg, hpc::RegMode::NpRdma);
+    mem::VirtAddr s = c.allocBuffer(0, 1 << 20);
+    mem::VirtAddr r = c.allocBuffer(1, 1 << 20);
+    int done = 0;
+    c.irecv(1, 0, r, 1 << 20, [&] { ++done; });
+    c.isend(0, 1, s, 1 << 20, [&] { ++done; });
+    c.irecv(1, 0, r, 4096, [&] { ++done; });
+    c.isend(0, 1, s, 4096, [&] { ++done; });
+    eq.runUntilCondition([&] { return done == 4; }, 10 * sim::kSecond);
+    EXPECT_EQ(done, 4);
+    EXPECT_GT(hpc::runImb(c, hpc::ImbBenchmark::Allreduce, 64 * 1024, 2, 1),
+              0.0);
+    expectEveryEventLabelled(eq);
 }

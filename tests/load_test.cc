@@ -6,13 +6,18 @@
  * windowing, and the flyweight client pool end to end over stub
  * transports — including the coordinated-omission contract (a
  * stalled server inflates *response* latency, not just service
- * latency) and the timeout/retry/give-up path.
+ * latency), the timeout/retry/give-up path, late responses on a
+ * multi-endpoint pool, the all-builds misuse aborts, and a footprint
+ * that does not grow with the endpoint count.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -30,6 +35,55 @@
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
 #include "sim/event_queue.hh"
+
+// Byte-counting global operator new (the stack_bench/obs_overhead
+// technique), armed only around the footprint measurement below. The
+// deletes stay out of line so GCC does not pair an inlined free()
+// with a new-expression (-Wmismatched-new-delete).
+namespace {
+bool g_countNew = false;
+std::uint64_t g_newBytes = 0;
+} // namespace
+
+void *
+operator new(std::size_t sz)
+{
+    if (g_countNew)
+        g_newBytes += sz;
+    if (void *p = std::malloc(sz != 0 ? sz : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t sz)
+{
+    return ::operator new(sz);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace npf;
 using namespace npf::load;
@@ -747,4 +801,140 @@ TEST(LoadPool, OverloadShedsInsteadOfGrowingWithoutBound)
     // 1 in flight + 2 backlog slots; the remaining ~5000 arrivals shed.
     EXPECT_EQ(pool.issued(), 1u);
     EXPECT_GT(pool.shedArrivals(), 4000u);
+}
+
+TEST(LoadPool, LateResponseAfterRetryOnAnotherEndpoint)
+{
+    // One client over two endpoints: its first request sits on a
+    // stalled endpoint 0 past the timeout, is resent on endpoint 1
+    // (round-robin), and the stale response then surfaces on
+    // endpoint 0, where it must count as late, not complete twice.
+    sim::EventQueue eq;
+    PoolConfig pc = openPool(2e3, 1, 43);
+    pc.timeout = sim::kMillisecond;
+    pc.maxRetries = 3;
+    ClientPool pool(eq, pc);
+    std::vector<StubTransport> stubs;
+    stubs.reserve(2);
+    for (int i = 0; i < 2; ++i) {
+        stubs.emplace_back(eq);
+        stubs.back().connect(pool);
+    }
+    stubs[0].stallUntil = 5 * sim::kMillisecond;
+    Recorder rec;
+    pool.setRecorder(rec);
+    pool.start();
+    eq.runUntil(20 * sim::kMillisecond);
+    pool.stop();
+    eq.run(); // drain the held and in-service responses
+
+    ASSERT_FALSE(stubs[0].log.empty());
+    ASSERT_FALSE(stubs[1].log.empty());
+    // The resend keeps its key and lands on the other endpoint.
+    EXPECT_EQ(std::get<1>(stubs[1].log.front()),
+              std::get<1>(stubs[0].log.front()));
+    EXPECT_GT(pool.lateResponses(), 0u);
+    EXPECT_GT(pool.timeouts(), 0u);
+    EXPECT_EQ(pool.timeouts(), pool.retries() + pool.giveups());
+    // Every issue ended exactly once: completed or timed out.
+    EXPECT_EQ(pool.issued(), pool.completions() + pool.timeouts());
+    EXPECT_EQ(rec.completions(0) + rec.completions(1),
+              pool.completions());
+    EXPECT_EQ(pool.inFlight(), 0u);
+}
+
+TEST(LoadPool, LateResponsesKeepManyClientFifosConsistent)
+{
+    // Many clients over four endpoints, one of them stalled past the
+    // timeout: the per-endpoint FIFOs must still account for every
+    // request once and drain to empty.
+    sim::EventQueue eq;
+    PoolConfig pc = openPool(100e3, 64, 47);
+    pc.timeout = sim::kMillisecond;
+    pc.maxRetries = 2;
+    ClientPool pool(eq, pc);
+    std::vector<StubTransport> stubs;
+    stubs.reserve(4);
+    for (int i = 0; i < 4; ++i) {
+        stubs.emplace_back(eq);
+        stubs.back().service = 20 * sim::kMicrosecond;
+        stubs.back().connect(pool);
+    }
+    stubs[2].stallFrom = 2 * sim::kMillisecond;
+    stubs[2].stallUntil = 6 * sim::kMillisecond;
+    pool.start();
+    eq.runUntil(20 * sim::kMillisecond);
+    pool.stop();
+    eq.run();
+
+    EXPECT_GT(pool.lateResponses(), 0u);
+    EXPECT_EQ(pool.timeouts(), pool.retries() + pool.giveups());
+    EXPECT_EQ(pool.issued(), pool.completions() + pool.timeouts());
+    EXPECT_EQ(pool.inFlight(), 0u);
+    EXPECT_GT(pool.completions(), 1000u);
+}
+
+TEST(LoadPool, FootprintIsIndependentOfEndpointCount)
+{
+    // Heap bytes for construction, endpoint attach and start(): the
+    // in-flight windows live in the clients, so 256 endpoints may
+    // only add their small Endpoint records to the 1-endpoint figure.
+    auto bytes = [](unsigned endpoints) {
+        sim::EventQueue eq;
+        std::vector<StubTransport> stubs;
+        stubs.reserve(endpoints);
+        for (unsigned i = 0; i < endpoints; ++i)
+            stubs.emplace_back(eq);
+        g_newBytes = 0;
+        g_countNew = true;
+        auto pool =
+            std::make_unique<ClientPool>(eq, openPool(1e6, 10000, 1));
+        for (StubTransport &s : stubs)
+            s.connect(*pool);
+        pool->start();
+        g_countNew = false;
+        return g_newBytes;
+    };
+    std::uint64_t one = bytes(1), many = bytes(256);
+    EXPECT_LT(many, one + 64 * 1024) << "1 endpoint: " << one
+                                     << " B, 256 endpoints: " << many
+                                     << " B";
+}
+
+using LoadPoolDeathTest = ::testing::Test;
+
+TEST(LoadPoolDeathTest, ClientCountMustFitTheIndexType)
+{
+    sim::EventQueue eq;
+    PoolConfig pc = openPool(1e3, std::uint64_t(1) << 32, 1);
+    EXPECT_DEATH(ClientPool(eq, pc), "must be below 2\\^32 - 1");
+}
+
+TEST(LoadPoolDeathTest, StartWithoutEndpointsAborts)
+{
+    sim::EventQueue eq;
+    ClientPool pool(eq, openPool(1e3, 4, 1));
+    EXPECT_DEATH(pool.start(), "start\\(\\) with no endpoints");
+}
+
+TEST(LoadPoolDeathTest, SecondStartAborts)
+{
+    sim::EventQueue eq;
+    ClientPool pool(eq, openPool(1e3, 4, 1));
+    StubTransport a(eq);
+    a.connect(pool);
+    pool.start();
+    pool.stop();
+    EXPECT_DEATH(pool.start(), "start\\(\\) called twice");
+}
+
+TEST(LoadPoolDeathTest, AddEndpointAfterStartAborts)
+{
+    sim::EventQueue eq;
+    ClientPool pool(eq, openPool(1e3, 4, 1));
+    StubTransport a(eq), b(eq);
+    a.connect(pool);
+    pool.start();
+    EXPECT_DEATH(b.connect(pool), "addEndpoint\\(\\) after start\\(\\)");
+    pool.stop();
 }
