@@ -115,7 +115,7 @@ tcpScenario(const ObsArgs &args)
 {
     header("chaos 1: TCP/Ethernet bidirectional RPC under plan");
     EthBed bed(EthBed::Options{});
-    auto obs = openObsSession(withIter(args, 0), bed.eq);
+    auto obs = openObsSession(args, bed.eq);
     fault::FaultInjector inj = makeInjector(args, bed.eq);
     armClauseDumps(inj);
     // Timed sites squeeze the server host while traffic flows.
@@ -175,7 +175,7 @@ ibScenario(const ObsArgs &args)
 {
     header("chaos 2: IB RC send/recv, cold buffers, under plan");
     sim::EventQueue eq;
-    auto obs = openObsSession(withIter(args, 1), eq);
+    auto obs = openObsSession(args, eq);
     fault::FaultInjector inj = makeInjector(args, eq);
     armClauseDumps(inj);
     net::Fabric fabric(eq, 2,
@@ -245,7 +245,7 @@ stormScenario(const ObsArgs &args)
 {
     header("chaos 3: mem-pressure + IOTLB storms vs steady DMA");
     sim::EventQueue eq;
-    auto obs = openObsSession(withIter(args, 2), eq);
+    auto obs = openObsSession(args, eq);
     fault::FaultInjector inj = makeInjector(args, eq);
     armClauseDumps(inj);
     mem::MemoryManager mm(32 * kMiB);

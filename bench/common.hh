@@ -50,8 +50,8 @@ row(const char *fmt, ...)
  * Observability flags shared by all benches:
  *
  *   --trace[=FILE]      record a Chrome trace (default trace.json)
- *   --trace-overwrite   sweep benches: one output file, last iteration
- *                       wins (default: per-iteration .NNN suffix)
+ *   --trace-overwrite   one output file per kind, the last session
+ *                       wins (default: per-session .NNN suffix)
  *   --metrics-out=FILE  write the metrics snapshot JSON on exit
  *   --sample-us=N       sample counter rates every N microseconds
  *   --fault-plan=SPEC   install a fault plan (see docs/FAULTS.md)
@@ -150,27 +150,6 @@ parseObsArgs(int argc, char **argv)
 }
 
 /**
- * Copy of @p a with iteration @p idx folded into every output path
- * ("trace.json" -> "trace.003.json"). Sweep benches that open one
- * obs::Session per configuration call this so iterations do not
- * clobber each other; --trace-overwrite restores the old behavior.
- */
-inline ObsArgs
-withIter(const ObsArgs &a, unsigned idx)
-{
-    ObsArgs b = a;
-    if (b.traceOverwrite)
-        return b;
-    if (b.trace)
-        b.traceOut = obs::indexedPath(b.traceOut, idx);
-    if (!b.metricsOut.empty())
-        b.metricsOut = obs::indexedPath(b.metricsOut, idx);
-    if (b.flightCapacity != 0)
-        b.flightDumpPath = obs::indexedPath(b.flightDumpPath, idx);
-    return b;
-}
-
-/**
  * Install the fault plan named by --fault-plan on @p eq, or return
  * nullptr (and change nothing) when the flag was absent. A malformed
  * spec aborts the bench with a diagnostic rather than silently
@@ -197,6 +176,12 @@ installFaultPlan(const ObsArgs &a, sim::EventQueue &eq)
  * any obs flag was given, nullptr otherwise (zero overhead). Keep the
  * returned pointer alive for the run; outputs are written when it is
  * destroyed.
+ *
+ * Output naming: the process numbers its sessions in opening order
+ * and folds the number into every output path ("trace.json" ->
+ * "trace.000.json", "trace.001.json", ...), so a bench that opens one
+ * session per configuration never clobbers its own files.
+ * --trace-overwrite keeps the paths as given (the last session wins).
  */
 inline std::unique_ptr<obs::Session>
 openObsSession(const ObsArgs &a, sim::EventQueue &eq)
@@ -204,13 +189,19 @@ openObsSession(const ObsArgs &a, sim::EventQueue &eq)
     if (!a.trace && a.metricsOut.empty() && a.sampleInterval == 0 &&
         a.flightCapacity == 0 && !a.attribution && !a.profileEventLoop)
         return nullptr;
+    static unsigned sessions = 0;
+    unsigned idx = sessions++;
+    auto path = [&](const std::string &p) {
+        return a.traceOverwrite ? p : obs::indexedPath(p, idx);
+    };
     obs::SessionOptions opt;
     opt.trace = a.trace;
-    opt.traceOut = a.traceOut;
-    opt.metricsOut = a.metricsOut;
+    opt.traceOut = path(a.traceOut);
+    opt.metricsOut = a.metricsOut.empty() ? a.metricsOut
+                                          : path(a.metricsOut);
     opt.sampleInterval = a.sampleInterval;
     opt.flightCapacity = a.flightCapacity;
-    opt.flightDumpPath = a.flightDumpPath;
+    opt.flightDumpPath = path(a.flightDumpPath);
     opt.flightDumpOnSlo = a.flightDumpOnSlo;
     opt.flightDumpAtEnd = a.flightDumpAtEnd;
     opt.attribution = a.attribution;

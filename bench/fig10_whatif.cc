@@ -34,10 +34,6 @@ namespace {
 
 constexpr std::size_t kMsg = 64 * 1024;
 
-/** One testbed per (policy, freq, class) point; index the obs output
- *  files per point so a swept --trace does not clobber itself. */
-unsigned g_iter = 0;
-
 /** TCP stream throughput in Gb/s at one injection setting. */
 double
 ethStream(eth::RxFaultPolicy policy, double prob, bool major,
@@ -54,7 +50,7 @@ ethStream(eth::RxFaultPolicy policy, double prob, bool major,
     o.serverSwap.seek = sim::kMillisecond;
     o.serverSwap.bandwidthBytesPerSec = 150e6;
     EthBed bed(o);
-    auto obs = openObsSession(withIter(obs_args, g_iter++), bed.eq);
+    auto obs = openObsSession(obs_args, bed.eq);
     if (!bed.connect(1))
         return 0.0;
     auto &cli = bed.client->connection(1);
@@ -81,7 +77,7 @@ double
 ibStream(double prob, bool major, const ObsArgs &obs_args)
 {
     sim::EventQueue eq;
-    auto obs = openObsSession(withIter(obs_args, g_iter++), eq);
+    auto obs = openObsSession(obs_args, eq);
     net::Fabric fabric(eq, 2,
                        net::FabricConfig{net::LinkConfig{56e9, 300, 32},
                                          200});
@@ -185,7 +181,7 @@ main(int argc, char **argv)
         double beff;
         {
             sim::EventQueue eq;
-            auto obs = openObsSession(withIter(obs_args, g_iter++), eq);
+            auto obs = openObsSession(obs_args, eq);
             hpc::ClusterConfig cfg;
             cfg.ranks = 4;
             beff = hpc::runBeff(eq, cfg, mode, 2).beffMBps;

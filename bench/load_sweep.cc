@@ -374,7 +374,6 @@ main(int argc, char **argv)
     if (ovs_sweep.empty())
         ovs_sweep.push_back(0); // sentinel: spec as given
     RateResult last;
-    unsigned iter = 0;
     for (double f : ovs_sweep) {
         std::string spec = a.topology;
         if (f > 0) {
@@ -386,12 +385,9 @@ main(int argc, char **argv)
             "achieved/s", "p50[us]", "p99[us]", "p99.9[us]", "srv-p99",
             "timeout", "retry", "shed", "slo!");
         for (double rate : a.rates) {
-            // Per-rate output files (trace.000.json, ...) unless
-            // --trace-overwrite asked for the old clobbering behavior.
-            ObsArgs it = withIter(obs_args, iter++);
             RateResult r = a.transport == "ib"
-                               ? runIb(a, it, rate, spec)
-                               : runEth(a, it, rate);
+                               ? runIb(a, obs_args, rate, spec)
+                               : runEth(a, obs_args, rate);
             row("%10.0f %10.0f %9.1f %9.1f %10.1f %9.1f %8llu %8llu "
                 "%8llu %6llu",
                 r.offered, r.achieved, r.p50, r.p99, r.p999, r.servP99,

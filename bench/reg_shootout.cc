@@ -115,7 +115,6 @@ main(int argc, char **argv)
     row("seed=%llu windows=%s", (unsigned long long)seed,
         smoke ? "smoke" : "full");
 
-    unsigned iter = 0;
     for (RegMode mode : {RegMode::Copy, RegMode::PinDownCache,
                          RegMode::Npf, RegMode::NpRdma}) {
         if (!wantMode(sel, mode))
@@ -126,7 +125,7 @@ main(int argc, char **argv)
         // (Seed-independent: beff's traffic patterns are fixed.)
         {
             sim::EventQueue eq;
-            auto obs = openObsSession(withIter(obs_args, iter++), eq);
+            auto obs = openObsSession(obs_args, eq);
             ClusterConfig cfg;
             cfg.ranks = 4;
             BeffResult b = runBeff(eq, cfg, mode, smoke ? 1 : 2);

@@ -23,11 +23,10 @@ main(int argc, char **argv)
     header("Table 6: effective bandwidth (beff) [MB/s]");
     row("%-10s %12s %10s", "app", "beff", "stddev");
     double pin_val = 0;
-    unsigned iter = 0;
     for (RegMode mode : {RegMode::PinDownCache, RegMode::Npf,
                          RegMode::Copy, RegMode::NpRdma}) {
         sim::EventQueue eq;
-        auto obs = openObsSession(withIter(obs_args, iter++), eq);
+        auto obs = openObsSession(obs_args, eq);
         BeffResult res = runBeff(eq, cfg, mode, 3);
         if (mode == RegMode::PinDownCache)
             pin_val = res.beffMBps;

@@ -170,6 +170,26 @@ if command -v python3 >/dev/null 2>&1; then
 else
     echo "note: python3 not found, skipping trace validation"
 fi
+# One output-naming rule for every bench: a bench that opens several
+# sessions (abl_batching opens one per batch size) numbers each
+# session's files instead of clobbering one trace.json.
+mkdir -p "$smokedir/multi"
+./build/bench/abl_batching --trace="$smokedir/multi/trace.json" \
+    > "$smokedir/abl_batching.txt" 2>&1 || {
+    echo "FAIL: abl_batching --trace run failed:"
+    cat "$smokedir/abl_batching.txt"
+    exit 1
+}
+for f in trace.000.json trace.001.json; do
+    [ -f "$smokedir/multi/$f" ] || {
+        echo "FAIL: multi-session bench wrote no $f"
+        exit 1
+    }
+done
+if command -v python3 >/dev/null 2>&1; then
+    python3 scripts/validate_trace.py \
+        "$smokedir/multi/trace.000.json" "$smokedir/multi/trace.001.json"
+fi
 
 echo "== tier 7: allocation gate + replay digests (stack_bench) =="
 # The stack-wide allocation gate: three end-to-end scenarios must run

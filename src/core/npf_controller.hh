@@ -25,11 +25,11 @@
 
 #include "core/odp_config.hh"
 #include "iommu/iommu.hh"
+#include "load/histogram.hh"
 #include "mem/address_space.hh"
 #include "obs/flow_tracer.hh"
 #include "obs/metrics.hh"
 #include "sim/event_queue.hh"
-#include "sim/histogram.hh"
 #include "sim/random.hh"
 
 namespace npf::core {
@@ -202,7 +202,7 @@ class NpfController
 
     struct Latencies
     {
-        sim::Histogram triggerNs, driverNs, ptUpdateNs, resumeNs, totalNs;
+        load::Histogram triggerNs, driverNs, ptUpdateNs, resumeNs, totalNs;
     };
     Latencies lat_;
     obs::Instrumented obs_; ///< last member: deregisters first

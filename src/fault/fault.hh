@@ -230,7 +230,7 @@ class FaultInjector
 
     /** thread_local: each shard worker arms its own injector
      *  (a fault plan never spans shards). */
-    static thread_local FaultInjector *active_;
+    static inline thread_local FaultInjector *active_ = nullptr;
 
     obs::Instrumented obs_; ///< last member: deregisters first
 };

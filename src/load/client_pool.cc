@@ -227,24 +227,13 @@ ClientPool::complete(unsigned epIdx, std::uint32_t serial, bool hit)
         Recorder::ClassId cls = cl.isSet ? setClass_ : getClass_;
         rec_->recordLatency(cls, cl.intended, cl.sent, now);
         if (ep.attrLane >= 0) {
-            // Phase-attribute the sojourn: blocking phases are the
-            // lane's accumulation over the request's wire window; the
-            // unexplained remainder is Queue, so the breakdown sums to
-            // e2e exactly (see obs/attribution.hh).
+            // Phase-attribute the sojourn: the lane's accumulation
+            // over the request's wire window, clipped to that window
+            // (see obs/attribution.hh).
             obs::PhaseBreakdown end;
             obs::attributor().snapshot(ep.attrLane, end);
-            const obs::PhaseBreakdown &snap = snaps_[c];
-            obs::PhaseBreakdown bd;
-            std::int64_t blocking = 0;
-            for (unsigned i = 0; i < obs::kPhaseCount; ++i) {
-                bd.ns[i] = end.ns[i] - snap.ns[i];
-                blocking += bd.ns[i];
-            }
-            bd.e2e = std::int64_t(now - cl.intended);
-            bd.ns[unsigned(obs::Phase::Backlog)] =
-                std::int64_t(cl.sent - cl.intended);
-            bd.ns[unsigned(obs::Phase::Queue)] =
-                std::int64_t(now - cl.sent) - blocking;
+            obs::PhaseBreakdown bd = obs::attributeWindow(
+                snaps_[c], end, cl.intended, cl.sent, now);
             rec_->recordBreakdown(cls, bd, now);
         }
     }

@@ -1,14 +1,16 @@
 /**
  * @file
- * Log-bucketed (HDR-style) histogram for latency recording.
+ * Log-bucketed (HDR-style) histogram: the one distribution type of
+ * the codebase (request latencies, NPF phase breakdowns, obs
+ * histogram metrics).
  *
- * Unlike sim::Histogram (raw samples, exact percentiles, O(n)
- * memory), this one buckets values by (binary exponent, sub-bucket):
- * with the default 256 sub-buckets per octave the relative
- * quantisation error of any percentile is at most ~0.2%, memory is a
- * few KB regardless of sample count, and recording is O(1) — what a
- * generator needs when it records millions of requests per run.
- * Exact min/max/sum are tracked on the side.
+ * Values are bucketed by (binary exponent, sub-bucket): with 256
+ * sub-buckets per octave the relative quantisation error of any
+ * percentile is at most ~0.2%, memory grows with the value range
+ * (2 KB per octave spanned), never with the sample count, and recording
+ * is O(1) — what a generator needs when it records millions of
+ * requests per run. Exact min/max/sum/sum-of-squares are tracked on
+ * the side, so p0, p100, mean and stddev are exact.
  *
  * recordCorrected() implements the classic coordinated-omission
  * back-fill: when a sample exceeds the expected sampling interval,
@@ -29,12 +31,6 @@ namespace npf::load {
 class Histogram
 {
   public:
-    /** @param sub_bucket_bits log2 of sub-buckets per octave. */
-    explicit Histogram(unsigned sub_bucket_bits = 8)
-        : subBits_(sub_bucket_bits), subCount_(1u << sub_bucket_bits)
-    {
-    }
-
     /** Add one sample (negative values clamp to 0). */
     void record(double v) { recordN(v, 1); }
 
@@ -53,6 +49,7 @@ class Histogram
         }
         count_ += n;
         sum_ += v * double(n);
+        sumSq_ += v * v * double(n);
         if (count_ == n || v < min_)
             min_ = v;
         if (count_ == n || v > max_)
@@ -92,7 +89,7 @@ class Histogram
             bump(bucketIndex(hi), 0);
     }
 
-    /** Merge another histogram's samples (same sub-bucket config). */
+    /** Merge another histogram's samples. */
     void
     merge(const Histogram &o)
     {
@@ -109,6 +106,7 @@ class Histogram
         }
         count_ += o.count_;
         sum_ += o.sum_;
+        sumSq_ += o.sumSq_;
     }
 
     std::uint64_t count() const { return count_; }
@@ -118,16 +116,30 @@ class Histogram
     double min() const { return count_ == 0 ? 0.0 : min_; }
     double max() const { return count_ == 0 ? 0.0 : max_; }
 
+    /** Population standard deviation of the exact samples. */
+    double
+    stddev() const
+    {
+        if (count_ < 2)
+            return 0.0;
+        double m = mean();
+        double var = sumSq_ / double(count_) - m * m;
+        return var > 0 ? std::sqrt(var) : 0.0;
+    }
+
     /**
      * Percentile by nearest rank over the bucketed distribution.
-     * @p p in [0, 100]; p >= 100 returns the exact maximum. The
-     * result is a bucket midpoint, clamped into [min, max].
+     * @p p in [0, 100]; p <= 0 returns the exact minimum and p >= 100
+     * the exact maximum. Otherwise the result is a bucket midpoint,
+     * clamped into [min, max]. Returns 0 when empty.
      */
     double
     percentile(double p) const
     {
         if (count_ == 0)
             return 0.0;
+        if (p <= 0.0)
+            return min_;
         if (p >= 100.0)
             return max_;
         auto rank = static_cast<std::uint64_t>(
@@ -160,11 +172,15 @@ class Histogram
         underflow_ = 0;
         count_ = 0;
         sum_ = 0;
+        sumSq_ = 0;
         min_ = 0;
         max_ = 0;
     }
 
   private:
+    static constexpr unsigned kSubBits = 8; ///< log2 sub-buckets/octave
+    static constexpr std::int64_t kSubCount = 1 << kSubBits;
+
     /**
      * Global bucket index of @p v: exponent * sub-buckets + mantissa
      * slice. Values below the smallest normalised double land in one
@@ -176,24 +192,22 @@ class Histogram
         int e = 0;
         double m = std::frexp(v, &e); // m in [0.5, 1)
         auto sub = static_cast<std::int64_t>((m - 0.5) * 2.0 *
-                                             double(subCount_));
-        if (sub >= std::int64_t(subCount_))
-            sub = std::int64_t(subCount_) - 1;
-        return std::int64_t(e) * std::int64_t(subCount_) + sub;
+                                             double(kSubCount));
+        if (sub >= kSubCount)
+            sub = kSubCount - 1;
+        return std::int64_t(e) * kSubCount + sub;
     }
 
     /** Midpoint of the bucket with global index @p idx. */
     double
     bucketMid(std::int64_t idx) const
     {
-        auto e = static_cast<int>(idx >= 0
-                                      ? idx / std::int64_t(subCount_)
-                                      : -((-idx + std::int64_t(subCount_) -
-                                           1) /
-                                          std::int64_t(subCount_)));
-        std::int64_t sub = idx - std::int64_t(e) * std::int64_t(subCount_);
-        double lo = 0.5 + double(sub) / (2.0 * double(subCount_));
-        double width = 0.5 / double(subCount_);
+        auto e = static_cast<int>(
+            idx >= 0 ? idx / kSubCount
+                     : -((-idx + kSubCount - 1) / kSubCount));
+        std::int64_t sub = idx - std::int64_t(e) * kSubCount;
+        double lo = 0.5 + double(sub) / (2.0 * double(kSubCount));
+        double width = 0.5 / double(kSubCount);
         return std::ldexp(lo + width / 2.0, e);
     }
 
@@ -213,13 +227,12 @@ class Histogram
         counts_[std::size_t(idx - base_)] += n;
     }
 
-    unsigned subBits_;
-    unsigned subCount_;
     std::vector<std::uint64_t> counts_; ///< dense window [base_, ...)
     std::int64_t base_ = 0;
     std::uint64_t underflow_ = 0; ///< samples at exactly zero
     std::uint64_t count_ = 0;
     double sum_ = 0;
+    double sumSq_ = 0; ///< exact, for stddev()
     double min_ = 0;
     double max_ = 0;
 };

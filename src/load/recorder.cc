@@ -26,15 +26,8 @@ Recorder::addClass(const std::string &name)
     obs_.counter(name + ".completions", &pc.completions);
     obs_.counter(name + ".timeouts", &pc.timeouts);
     obs_.counter(name + ".retries", &pc.retries);
-    ClassId id = ClassId(perClass_.size() - 1);
-    obs_.distribution(name + ".response_us", [this, id] {
-        const Histogram &h = perClass_[id].response;
-        return obs::DistSnapshot{h.count(),  h.mean(),
-                                 h.percentile(50), h.percentile(90),
-                                 h.percentile(99), h.percentile(99.9),
-                                 h.min(),    h.max()};
-    });
-    return id;
+    obs_.histogram(name + ".response_us", &pc.response);
+    return ClassId(perClass_.size() - 1);
 }
 
 void
@@ -138,8 +131,8 @@ Recorder::writeReport(std::ostream &os, sim::Time now) const
     // Phase attribution: for each class, the retained slow sample
     // nearest the histogram's p99 and p99.9, plus the worst. Phase
     // columns sum to e2e exactly in ns (rounding here is display
-    // only); a negative queue means overlapping lump charges (shared
-    // server core) over-explain the window — see docs/OBSERVABILITY.md.
+    // only) and are never negative: shared charges that over-explain
+    // the window are clipped to it — see obs/attribution.hh.
     os << "-- phase attribution (slowest " << cfg_.slowK
        << " per class) --\n";
     std::snprintf(line, sizeof(line),

@@ -172,7 +172,7 @@ class Recorder
     };
 
     RecorderConfig cfg_;
-    std::deque<PerClass> perClass_; ///< deque: stable counter addrs
+    std::deque<PerClass> perClass_; ///< deque: stable field addrs
     obs::Instrumented obs_;         ///< last member: deregisters first
 };
 

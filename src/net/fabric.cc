@@ -135,7 +135,7 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
              sim::EventQueue::Callback deliver)
 {
     if (src == dst) {
-        sendLoopback(src, bytes, std::move(deliver));
+        sendLoopback(bytes, std::move(deliver));
         return;
     }
     if (topo_)
@@ -144,41 +144,50 @@ Fabric::send(unsigned src, unsigned dst, std::size_t bytes,
         sendLegacy(src, dst, bytes, std::move(deliver));
 }
 
-void
-Fabric::sendLoopback(unsigned node, std::size_t bytes,
-                     sim::EventQueue::Callback deliver)
+Fabric::LoopbackFate
+Fabric::loopbackFate(std::size_t bytes)
 {
-    (void)node;
     ++stats_.loopbackPackets;
     stats_.loopbackBytes += bytes;
-    sim::Time latency =
+    LoopbackFate f;
+    f.latency =
         topo_ ? topo_->switchCfg.forwardLatency : cfg_.switchLatency;
-    sim::Time extra = 0;
-    if (fault::FaultInjector *fi = fault::FaultInjector::active()) {
-        if (auto d = fi->decide(fault::Site::Link)) {
-            switch (d->action) {
-              case fault::Action::Drop:
-                // Never delivered; the closure (and any payload it
-                // owns) dies when send() returns.
-                ++stats_.loopbackInjDropped;
-                return;
-              case fault::Action::Duplicate:
-                // The copy clones any pooled payload (PoolRef copy
-                // semantics); both retire independently.
-                ++stats_.loopbackInjDuplicated;
-                eq_.scheduleAfter(latency, deliver, "net.fabric.loop");
-                break;
-              case fault::Action::Reorder:
-              case fault::Action::Delay:
-                ++stats_.loopbackInjDelayed;
-                extra = d->delay;
-                break;
-              default:
-                break;
-            }
-        }
+    fault::FaultInjector *fi = fault::FaultInjector::active();
+    auto d = fi ? fi->decide(fault::Site::Link) : std::nullopt;
+    if (!d)
+        return f;
+    switch (d->action) {
+      case fault::Action::Drop:
+        ++stats_.loopbackInjDropped;
+        f.drop = true;
+        break;
+      case fault::Action::Duplicate:
+        ++stats_.loopbackInjDuplicated;
+        f.duplicate = true;
+        break;
+      case fault::Action::Reorder:
+      case fault::Action::Delay:
+        ++stats_.loopbackInjDelayed;
+        f.extra = d->delay;
+        break;
+      default:
+        break;
     }
-    eq_.scheduleAfter(latency + extra, std::move(deliver),
+    return f;
+}
+
+void
+Fabric::sendLoopback(std::size_t bytes, sim::EventQueue::Callback deliver)
+{
+    LoopbackFate f = loopbackFate(bytes);
+    // A dropped closure (and any payload it owns) dies when send()
+    // returns; a duplicate clones any pooled payload (PoolRef copy
+    // semantics) and both retire independently.
+    if (f.drop)
+        return;
+    if (f.duplicate)
+        eq_.scheduleAfter(f.latency, deliver, "net.fabric.loop");
+    eq_.scheduleAfter(f.latency + f.extra, std::move(deliver),
                       "net.fabric.loop");
 }
 
@@ -380,31 +389,12 @@ Fabric::sendRecord(const WireRecord &rec)
 void
 Fabric::sendRecordLoopback(const WireRecord &rec)
 {
-    ++stats_.loopbackPackets;
-    stats_.loopbackBytes += rec.bytes;
-    sim::Time latency = cfg_.switchLatency;
-    sim::Time extra = 0;
-    if (fault::FaultInjector *fi = fault::FaultInjector::active()) {
-        if (auto d = fi->decide(fault::Site::Link)) {
-            switch (d->action) {
-              case fault::Action::Drop:
-                ++stats_.loopbackInjDropped;
-                return;
-              case fault::Action::Duplicate:
-                ++stats_.loopbackInjDuplicated;
-                scheduleDispatch(eq_.now() + latency, rec);
-                break;
-              case fault::Action::Reorder:
-              case fault::Action::Delay:
-                ++stats_.loopbackInjDelayed;
-                extra = d->delay;
-                break;
-              default:
-                break;
-            }
-        }
-    }
-    scheduleDispatch(eq_.now() + latency + extra, rec);
+    LoopbackFate f = loopbackFate(rec.bytes);
+    if (f.drop)
+        return;
+    if (f.duplicate)
+        scheduleDispatch(eq_.now() + f.latency, rec);
+    scheduleDispatch(eq_.now() + f.latency + f.extra, rec);
 }
 
 void

@@ -311,8 +311,18 @@ class Fabric
                   sim::EventQueue::Callback deliver);
     void sendLegacy(unsigned src, unsigned dst, std::size_t bytes,
                     sim::EventQueue::Callback deliver);
-    void sendLoopback(unsigned node, std::size_t bytes,
-                      sim::EventQueue::Callback deliver);
+    /** What the loopback path does with one same-node packet: the
+     *  fault::Site::Link dice, rolled once per packet. */
+    struct LoopbackFate
+    {
+        sim::Time latency = 0; ///< the switch hop
+        sim::Time extra = 0;   ///< injected delay/reorder
+        bool drop = false;
+        bool duplicate = false; ///< one extra copy at plain latency
+    };
+    /** Count one loopback packet and roll its link-fault dice. */
+    LoopbackFate loopbackFate(std::size_t bytes);
+    void sendLoopback(std::size_t bytes, sim::EventQueue::Callback deliver);
     void sendRecordLoopback(const WireRecord &rec);
     /** Second wire hop of the record path: the packet left the
      *  switch; clock the downlink and dispatch at arrival. */

@@ -1,5 +1,7 @@
 #include "obs/attribution.hh"
 
+#include <algorithm>
+
 namespace npf::obs {
 
 const char *
@@ -14,6 +16,23 @@ phaseName(Phase p)
       case Phase::Retransmit: return "retransmit";
     }
     return "?";
+}
+
+PhaseBreakdown
+attributeWindow(const PhaseBreakdown &atSend, const PhaseBreakdown &atEnd,
+                sim::Time intended, sim::Time sent, sim::Time done)
+{
+    PhaseBreakdown bd;
+    bd.e2e = std::int64_t(done - intended);
+    bd.ns[unsigned(Phase::Backlog)] = std::int64_t(sent - intended);
+    std::int64_t left = std::int64_t(done - sent);
+    for (unsigned i = kPhaseCount; i-- > unsigned(Phase::Server);) {
+        bd.ns[i] = std::clamp<std::int64_t>(atEnd.ns[i] - atSend.ns[i], 0,
+                                            left);
+        left -= bd.ns[i];
+    }
+    bd.ns[unsigned(Phase::Queue)] = left;
+    return bd;
 }
 
 Attributor &

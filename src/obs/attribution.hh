@@ -11,18 +11,23 @@
  * (one per session/channel, one per server, plus a root lane for
  * host-global stalls such as an Ethernet NIC parked on a cold ring).
  * The client pool snapshots a request's lane at send time and diffs at
- * completion; whatever part of the sojourn the blocking phases do not
- * explain lands in the Queue residual, so
+ * completion (attributeWindow()); whatever part of the sojourn the
+ * blocking phases do not explain lands in the Queue residual, so
  *
  *     backlog + queue + server + npf + rnr + retransmit == e2e
  *
  * holds by construction, in integer nanoseconds, with no sampling and
- * no double-booking. Because shared resources (a server core, the root
- * lane) are charged once and folded into every overlapping request's
- * window, a phase can legitimately exceed the request's own service
- * demand — and Queue can go negative when overlapping lumps over-
- * explain the window. Both are documented, not bugs: the invariant the
- * tests enforce is the exact sum.
+ * no double-booking. Shared resources (a server core, the root lane)
+ * are charged once and folded into every overlapping request's
+ * window, so a lane can accrue more blocking than the request spent
+ * on the wire (another request's 4 ms retransmit lump lands on a
+ * shared lane). The rule for that case: the blocking phases are
+ * clipped to the wire time (completion - send) one by one in reverse
+ * enum order — Retransmit, RnrBackoff, NpfDriver, Server: stalls that
+ * halt the whole lane first, the shared CPU charge last — each taking
+ * at most what the earlier ones left, and Queue takes the rest. So no
+ * phase is negative and the sum stays exact; a phase can still exceed
+ * the request's own service demand.
  *
  * Everything here is gated so that the disabled configuration does no
  * work beyond one predictable branch per call site and allocates
@@ -69,6 +74,18 @@ struct PhaseBreakdown
         return s;
     }
 };
+
+/**
+ * One request's breakdown from its lane snapshots at send (@p atSend)
+ * and at completion (@p atEnd): Backlog is @p sent - @p intended, the
+ * blocking phases are the lane's growth over the window clipped to
+ * the wire time @p done - @p sent in reverse enum order, and Queue is
+ * the remainder (see the file comment). e2e = @p done - @p intended.
+ */
+PhaseBreakdown attributeWindow(const PhaseBreakdown &atSend,
+                               const PhaseBreakdown &atEnd,
+                               sim::Time intended, sim::Time sent,
+                               sim::Time done);
 
 /**
  * The process-wide phase accountant.

@@ -68,7 +68,7 @@ flightRecorder()
 /**
  * Insert a zero-padded index before the final extension:
  * "trace.json" -> "trace.003.json", "out" -> "out.003". Shared by the
- * flight recorder and the sweep benches' per-iteration outputs.
+ * flight recorder and the benches' per-session output numbering.
  */
 std::string indexedPath(const std::string &path, unsigned n);
 

@@ -1,5 +1,7 @@
 #include "obs/metrics.hh"
 
+#include <utility>
+
 #include "obs/json.hh"
 
 namespace npf::obs {
@@ -58,21 +60,11 @@ Registry::addGauge(std::string name, std::function<double()> fn)
 }
 
 Registry::Id
-Registry::addHistogram(std::string name, const sim::Histogram *h)
+Registry::addHistogram(std::string name, const load::Histogram *h)
 {
     Entry e;
     e.kind = Kind::Histogram;
     e.histogram = h;
-    return insert(std::move(name), std::move(e));
-}
-
-Registry::Id
-Registry::addDistribution(std::string name,
-                          std::function<DistSnapshot()> fn)
-{
-    Entry e;
-    e.kind = Kind::Distribution;
-    e.dist = std::move(fn);
     return insert(std::move(name), std::move(e));
 }
 
@@ -98,10 +90,6 @@ Registry::remove(Id id)
                 if (e.histogram->count() > 0)
                     retiredHistograms_[eit->first] = *e.histogram;
                 break;
-              case Kind::Distribution:
-                if (DistSnapshot s = e.dist(); s.count > 0)
-                    retiredDists_[eit->first] = s;
-                break;
             }
         }
         entries_.erase(eit);
@@ -123,14 +111,13 @@ Registry::clearRetired()
     retiredCounters_.clear();
     retiredGauges_.clear();
     retiredHistograms_.clear();
-    retiredDists_.clear();
 }
 
 std::size_t
 Registry::retiredSize() const
 {
     return retiredCounters_.size() + retiredGauges_.size() +
-           retiredHistograms_.size() + retiredDists_.size();
+           retiredHistograms_.size();
 }
 
 std::optional<double>
@@ -153,7 +140,6 @@ Registry::value(const std::string &name) const
       case Kind::Gauge:
         return e.gauge();
       case Kind::Histogram:
-      case Kind::Distribution:
         return std::nullopt;
     }
     return std::nullopt;
@@ -173,40 +159,20 @@ Registry::names(const std::string &prefix) const
 namespace {
 
 void
-histogramJson(std::ostream &os, const sim::Histogram &h)
+histogramJson(std::ostream &os, const load::Histogram &h)
 {
     os << "{\"count\":" << h.count() << ",\"mean\":";
     jsonNumber(os, h.mean());
-    os << ",\"p50\":";
-    jsonNumber(os, h.percentile(50));
-    os << ",\"p90\":";
-    jsonNumber(os, h.percentile(90));
-    os << ",\"p99\":";
-    jsonNumber(os, h.percentile(99));
+    static constexpr std::pair<const char *, double> kPercentiles[] = {
+        {"p50", 50.0}, {"p90", 90.0}, {"p99", 99.0}, {"p99.9", 99.9}};
+    for (const auto &[key, p] : kPercentiles) {
+        os << ",\"" << key << "\":";
+        jsonNumber(os, h.percentile(p));
+    }
     os << ",\"min\":";
     jsonNumber(os, h.min());
     os << ",\"max\":";
     jsonNumber(os, h.max());
-    os << '}';
-}
-
-void
-distJson(std::ostream &os, const DistSnapshot &s)
-{
-    os << "{\"count\":" << s.count << ",\"mean\":";
-    jsonNumber(os, s.mean);
-    os << ",\"p50\":";
-    jsonNumber(os, s.p50);
-    os << ",\"p90\":";
-    jsonNumber(os, s.p90);
-    os << ",\"p99\":";
-    jsonNumber(os, s.p99);
-    os << ",\"p99.9\":";
-    jsonNumber(os, s.p999);
-    os << ",\"min\":";
-    jsonNumber(os, s.min);
-    os << ",\"max\":";
-    jsonNumber(os, s.max);
     os << '}';
 }
 
@@ -270,20 +236,6 @@ Registry::writeJson(std::ostream &os) const
         jsonString(os, name);
         os << ':';
         histogramJson(os, *e.histogram);
-    }
-    for (const auto &[name, s] : retiredDists_) {
-        sep.emit(os);
-        jsonString(os, name);
-        os << ':';
-        distJson(os, s);
-    }
-    for (const auto &[name, e] : entries_) {
-        if (e.kind != Kind::Distribution)
-            continue;
-        sep.emit(os);
-        jsonString(os, name);
-        os << ':';
-        distJson(os, e.dist());
     }
     os << '}';
 

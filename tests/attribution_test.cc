@@ -187,6 +187,77 @@ TEST(Attribution, BlockStackOverflowIsDroppedNotFatal)
     EXPECT_EQ(bd.sum(), 0); // clock never advanced
 }
 
+namespace {
+
+/** Stub endpoint on a shared lane: every issue charges a 4 ms
+ *  retransmit lump to the lane and answers 10 us later. */
+struct LumpTransport final : load::Transport
+{
+    sim::EventQueue &eq;
+    int lane;
+    load::ClientPool *pool = nullptr;
+    unsigned ep = 0;
+
+    LumpTransport(sim::EventQueue &q, int l) : eq(q), lane(l) {}
+
+    void
+    issue(std::uint32_t serial, std::uint64_t, bool, std::size_t) override
+    {
+        obs::attributor().charge(lane, Phase::Retransmit,
+                                 4 * sim::kMillisecond);
+        eq.scheduleAfter(
+            10 * sim::kMicrosecond,
+            [this, serial] { pool->complete(ep, serial, true); },
+            "test.lump");
+    }
+};
+
+} // namespace
+
+/**
+ * Two clients on one shared lane, every issue charging a 4 ms lump:
+ * each request's window accrues far more blocking than its 10 us on
+ * the wire. The blocking phases are clipped to the wire time, so
+ * Queue never goes negative and the sum stays exact.
+ */
+TEST(AttributionIntegration, SharedLaneLumpsAreClippedToTheWireTime)
+{
+    sim::EventQueue eq;
+    AttrGuard guard(eq);
+    LumpTransport lump(eq, obs::attributor().openLane("shared"));
+
+    load::PoolConfig pc;
+    pc.clients = 2;
+    pc.workload.arrival.kind = load::ArrivalSpec::Kind::Closed;
+    pc.workload.keys.kind = load::KeySpec::Kind::Uniform;
+    pc.workload.keys.keys = 16;
+    load::RecorderConfig rc;
+    rc.slowK = 1u << 20;
+    load::Recorder rec(rc);
+    load::ClientPool pool(eq, pc);
+    pool.setRecorder(rec);
+    lump.pool = &pool;
+    lump.ep = pool.addEndpoint(lump, lump.lane);
+
+    pool.start();
+    eq.runUntil(sim::kMillisecond);
+    pool.stop();
+
+    std::size_t samples = 0;
+    for (unsigned cls = 0; cls < 2; ++cls) {
+        for (const PhaseBreakdown &bd : rec.slowSamples(cls)) {
+            ++samples;
+            ASSERT_EQ(bd.sum(), bd.e2e);
+            for (unsigned i = 0; i < obs::kPhaseCount; ++i)
+                ASSERT_GE(bd.ns[i], 0) << obs::phaseName(Phase(i));
+            EXPECT_EQ(phaseNs(bd, Phase::Retransmit),
+                      std::int64_t(10 * sim::kMicrosecond));
+            EXPECT_EQ(phaseNs(bd, Phase::Queue), 0);
+        }
+    }
+    EXPECT_GT(samples, 50u);
+}
+
 /**
  * Two-host IB KV-RPC under periodic server memory pressure (real send
  * NPFs on GET responses DMA-read from reclaimed item memory) and

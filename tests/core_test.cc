@@ -7,10 +7,63 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "core/npf_controller.hh"
 #include "core/pinning.hh"
+#include "load/histogram.hh"
 #include "mem/memory_manager.hh"
-#include "sim/histogram.hh"
+
+// Byte-counting global operator new (the stack_bench/obs_overhead
+// technique), armed only around the breakdown-footprint measurement.
+// The deletes stay out of line so GCC does not pair an inlined free()
+// with a new-expression (-Wmismatched-new-delete).
+namespace {
+bool g_countNew = false;
+std::uint64_t g_newBytes = 0;
+} // namespace
+
+void *
+operator new(std::size_t sz)
+{
+    if (g_countNew)
+        g_newBytes += sz;
+    if (void *p = std::malloc(sz != 0 ? sz : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t sz)
+{
+    return ::operator new(sz);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace npf;
 using namespace npf::core;
@@ -100,7 +153,7 @@ TEST(NpfController, TailLatenciesMatchTable4)
 {
     Rig rig(1ull << 30);
     mem::VirtAddr buf = rig.as.allocRegion(256 * MiB);
-    sim::Histogram h;
+    load::Histogram h;
     for (int i = 0; i < 4000; ++i) {
         mem::VirtAddr page = buf + (std::uint64_t(i) * mem::kPageSize);
         NpfBreakdown bd = rig.npfc.computeResolve(rig.ch, page, 4096, true);
@@ -110,6 +163,36 @@ TEST(NpfController, TailLatenciesMatchTable4)
     EXPECT_NEAR(h.percentile(95), 250.0, 50.0);
     EXPECT_GT(h.max(), h.percentile(99)) << "tail spikes exist";
     EXPECT_LT(h.max(), 1000.0);
+}
+
+TEST(NpfController, BreakdownHistogramsAreBounded)
+{
+    // With the detail flag up every resolution lands in the five
+    // phase histograms; their footprint must follow the latency
+    // range, not the fault count.
+    Rig rig;
+    constexpr unsigned kPages = 256;
+    mem::VirtAddr buf = rig.as.allocRegion(kPages * mem::kPageSize);
+    auto resolve = [&](unsigned n) {
+        for (unsigned i = 0; i < n; ++i) {
+            mem::VirtAddr page =
+                buf + std::uint64_t(i % kPages) * mem::kPageSize;
+            rig.npfc.computeResolve(rig.ch, page, 4096, true);
+        }
+    };
+    resolve(kPages); // map every page first: later resolves are pure
+                     // breakdown work
+    obs::Registry &reg = obs::Registry::global();
+    bool detail = reg.detail();
+    reg.setDetail(true);
+    g_newBytes = 0;
+    g_countNew = true;
+    resolve(100000);
+    g_countNew = false;
+    reg.setDetail(detail);
+    EXPECT_EQ(rig.npfc.stats().npfs, kPages + 100000u);
+    EXPECT_LT(g_newBytes, 256u * 1024)
+        << "100k resolutions allocated " << g_newBytes << " B";
 }
 
 TEST(NpfController, BatchedPrefaultMapsWholeRequest)

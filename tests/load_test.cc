@@ -417,6 +417,78 @@ TEST(LoadHistogram, MergeAndZeroHandling)
     EXPECT_DOUBLE_EQ(a.percentile(99), 0.0);
 }
 
+// Edge cases of the one histogram class. Interior percentiles are
+// bucket midpoints, so they are checked to half a bucket (v / 512);
+// the extremes, mean and stddev are tracked exactly.
+
+TEST(Histogram, PercentilesNearestRank)
+{
+    Histogram h;
+    for (int i = 1; i <= 100; ++i)
+        h.record(i);
+    for (double p : {50.0, 95.0, 99.0})
+        EXPECT_NEAR(h.percentile(p), p, p / 512) << "p" << p;
+    EXPECT_DOUBLE_EQ(h.max(), 100.0);
+    EXPECT_DOUBLE_EQ(h.min(), 1.0);
+    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
+}
+
+TEST(Histogram, EmptyIsSafe)
+{
+    Histogram h;
+    EXPECT_EQ(h.count(), 0u);
+    for (double p : {0.0, 50.0, 100.0})
+        EXPECT_DOUBLE_EQ(h.percentile(p), 0.0);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(h.stddev(), 0.0);
+    EXPECT_DOUBLE_EQ(h.min(), 0.0);
+    EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+TEST(Histogram, RecordAfterQueryStaysSorted)
+{
+    Histogram h;
+    h.record(5);
+    EXPECT_DOUBLE_EQ(h.max(), 5.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0), 5.0);
+    h.record(1);
+    h.record(9);
+    EXPECT_DOUBLE_EQ(h.max(), 9.0);
+    EXPECT_DOUBLE_EQ(h.min(), 1.0);
+    EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
+    EXPECT_DOUBLE_EQ(h.percentile(100), 9.0);
+}
+
+TEST(Histogram, ClearResets)
+{
+    Histogram h;
+    h.record(3);
+    h.record(7);
+    h.clear();
+    EXPECT_TRUE(h.empty());
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(h.stddev(), 0.0);
+    EXPECT_DOUBLE_EQ(h.percentile(99), 0.0);
+    h.record(4);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
+    EXPECT_DOUBLE_EQ(h.min(), 4.0); // extremes from before clear are gone
+    EXPECT_DOUBLE_EQ(h.max(), 4.0);
+}
+
+TEST(Histogram, StddevAndExtremePercentiles)
+{
+    Histogram h;
+    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
+        h.record(v);
+    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
+    EXPECT_DOUBLE_EQ(h.stddev(), 2.0); // classic textbook set
+    EXPECT_DOUBLE_EQ(h.percentile(0), 2.0);
+    EXPECT_DOUBLE_EQ(h.percentile(100), 9.0);
+    EXPECT_DOUBLE_EQ(h.percentile(-5), 2.0);
+    EXPECT_DOUBLE_EQ(h.percentile(250), 9.0);
+}
+
 // --- recorder ---------------------------------------------------------
 
 TEST(LoadRecorder, WarmupAndDurationGateEverySample)

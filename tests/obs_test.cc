@@ -17,6 +17,8 @@
 #include "core/npf_controller.hh"
 #include "eth/eth_nic.hh"
 #include "ib/queue_pair.hh"
+#include "load/histogram.hh"
+#include "load/recorder.hh"
 #include "mem/memory_manager.hh"
 #include "net/fabric.hh"
 #include "obs/flow_tracer.hh"
@@ -33,6 +35,25 @@ bool
 contains(const std::string &hay, const std::string &needle)
 {
     return hay.find(needle) != std::string::npos;
+}
+
+/** Keys of the flat JSON object serialized under @p name in @p json
+ *  (empty when absent). */
+std::vector<std::string>
+objectKeys(const std::string &json, const std::string &name)
+{
+    std::vector<std::string> keys;
+    std::size_t at = json.find("\"" + name + "\":{");
+    if (at == std::string::npos)
+        return keys;
+    std::size_t end = json.find('}', at);
+    for (std::size_t q = json.find('{', at) + 1; q < end;) {
+        std::size_t close = json.find('"', q + 1);
+        keys.push_back(json.substr(q + 1, close - q - 1));
+        q = json.find(',', close);
+        q = q < end ? q + 1 : end;
+    }
+    return keys;
 }
 
 } // namespace
@@ -80,7 +101,7 @@ TEST(Registry, RetainArchivesRemovedEntries)
     obs::Registry reg;
     reg.setRetain(true);
     std::uint64_t v = 123;
-    sim::Histogram h;
+    load::Histogram h;
     h.record(5.0);
     obs::Registry::Id c = reg.addCounter("dead.count", &v);
     obs::Registry::Id g = reg.addGauge("dead.gauge", [] { return 2.5; });
@@ -123,7 +144,7 @@ TEST(Registry, WriteJsonShape)
 {
     obs::Registry reg;
     std::uint64_t c = 9;
-    sim::Histogram h;
+    load::Histogram h;
     for (int i = 1; i <= 4; ++i)
         h.record(i);
     reg.addCounter("s.c", &c);
@@ -135,8 +156,25 @@ TEST(Registry, WriteJsonShape)
     EXPECT_TRUE(contains(j, "\"counters\":{\"s.c\":9}"));
     EXPECT_TRUE(contains(j, "\"gauges\":{\"s.g\":0.5}"));
     EXPECT_TRUE(contains(j, "\"s.h\":{\"count\":4"));
-    EXPECT_TRUE(contains(j, "\"p50\":"));
     EXPECT_TRUE(contains(j, "\"max\":4"));
+    const std::vector<std::string> keys = {
+        "count", "mean", "p50", "p90", "p99", "p99.9", "min", "max"};
+    EXPECT_EQ(objectKeys(j, "s.h"), keys);
+
+    // A recorder's response histogram goes through the same writer.
+    load::Recorder rec;
+    load::Recorder::ClassId get = rec.addClass("get");
+    rec.recordLatency(get, 0, 0, 1500);
+    const std::string suffix = ".get.response_us";
+    std::string response;
+    for (const std::string &n : obs::Registry::global().names("load.rec"))
+        if (n.size() > suffix.size() &&
+            n.compare(n.size() - suffix.size(), suffix.size(), suffix) == 0)
+            response = n;
+    ASSERT_FALSE(response.empty());
+    std::ostringstream g;
+    obs::Registry::global().writeJson(g);
+    EXPECT_EQ(objectKeys(g.str(), response), keys) << response;
 }
 
 namespace {
@@ -462,7 +500,7 @@ namespace {
  */
 struct DyingModel
 {
-    sim::Histogram latNs;
+    load::Histogram latNs;
     std::vector<int> frames{1, 2, 3};
     obs::Instrumented obs_;
 

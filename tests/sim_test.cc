@@ -14,7 +14,6 @@
 
 #include "sim/delegate.hh"
 #include "sim/event_queue.hh"
-#include "sim/histogram.hh"
 #include "sim/random.hh"
 #include "sim/series.hh"
 
@@ -133,39 +132,6 @@ TEST(Time, Conversions)
     EXPECT_DOUBLE_EQ(sim::toMicroseconds(1500), 1.5);
 }
 
-TEST(Histogram, PercentilesNearestRank)
-{
-    sim::Histogram h;
-    for (int i = 1; i <= 100; ++i)
-        h.record(i);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(95), 95.0);
-    EXPECT_DOUBLE_EQ(h.percentile(99), 99.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-}
-
-TEST(Histogram, EmptyIsSafe)
-{
-    sim::Histogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.stddev(), 0.0);
-}
-
-TEST(Histogram, RecordAfterQueryStaysSorted)
-{
-    sim::Histogram h;
-    h.record(5);
-    EXPECT_DOUBLE_EQ(h.max(), 5.0);
-    h.record(1);
-    h.record(9);
-    EXPECT_DOUBLE_EQ(h.max(), 9.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-}
-
 TEST(RateSeries, BucketsAndRates)
 {
     sim::RateSeries s(sim::kSecond);
@@ -274,32 +240,6 @@ TEST(EventQueue, ExecuteHookSeesSiteLabels)
     eq.schedule(5, [] {});
     eq.run();
     EXPECT_EQ(unlabeled, 1);
-}
-
-TEST(Histogram, ClearResets)
-{
-    sim::Histogram h;
-    h.record(3);
-    h.record(7);
-    h.clear();
-    EXPECT_TRUE(h.empty());
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    h.record(4);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-}
-
-TEST(Histogram, StddevAndExtremePercentiles)
-{
-    sim::Histogram h;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        h.record(v);
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(h.stddev(), 2.0); // classic textbook set
-    EXPECT_DOUBLE_EQ(h.percentile(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 9.0);
-    EXPECT_DOUBLE_EQ(h.percentile(-5), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(250), 9.0);
 }
 
 TEST(RateSeries, OutOfRangeAndWeightedCounts)
