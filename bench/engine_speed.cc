@@ -10,12 +10,20 @@
  *                   old engine's lazily-reaped heap balloon
  *   mixed           a live population with interleaved schedule /
  *                   execute / cancel, shaped like NIC + RTO traffic
+ *   sparse_stream   one packet stream 150-300 ns apart, each packet
+ *                   scheduling its successor and re-arming an RTO
+ *                   timer; also reports the ladder's wheel scans per
+ *                   executed event, which must stay <= 0.25 (the
+ *                   imminent window spans the gaps, docs/ENGINE.md)
  *
- * Also replays one workload twice on the new engine and compares an
- * order-sensitive digest of the execution sequence, so the CI smoke
- * run (scripts/check.sh tier 5) exercises the determinism contract.
+ * Also replays mixed and sparse_stream twice on the new engine and
+ * compares order-sensitive digests of the execution sequences, so the
+ * CI smoke run (scripts/check.sh tier 5) exercises the determinism
+ * contract.
  *
- * Emits BENCH_engine.json (override with --json=FILE).
+ * Emits BENCH_engine.json (override with --json=FILE). Exit status: 1
+ * on a determinism mismatch or a scans-per-event gate failure (both
+ * counts, never timing noise), 2 on a sub-3x cancel_heavy speedup.
  */
 
 #include <chrono>
@@ -156,6 +164,43 @@ mixed(Engine &eq, std::uint64_t n, std::uint32_t seed,
     return n + eq.stats().executed;
 }
 
+/**
+ * NIC-like sparse stream: @p n packets 150-300 ns apart, each
+ * scheduling its successor, then cancelling the connection's RTO
+ * timer and re-arming it 1 ms out. Returns an order-sensitive digest via
+ * @p digest.
+ */
+template <typename Engine>
+std::uint64_t
+sparseStream(Engine &eq, std::uint64_t n, std::uint64_t *digest = nullptr)
+{
+    struct Stream
+    {
+        Engine &eq;
+        std::uint64_t left;
+        decltype(eq.schedule(0, [] {})) rto{};
+        std::uint64_t h = 1469598103934665603ull; // FNV offset basis
+
+        void
+        packet()
+        {
+            h = (h ^ (eq.now() + left)) * 1099511628211ull;
+            if (--left != 0)
+                eq.scheduleAfter(150 + (left * 37) % 151,
+                                 [this] { packet(); },
+                                 "bench.engine_speed.packet");
+            eq.cancel(rto);
+            rto = eq.scheduleAfter(sim::kMillisecond, [] {},
+                                   "bench.engine_speed.rto");
+        }
+    } s{eq, n};
+    eq.schedule(eq.now(), [&s] { s.packet(); }, "bench.engine_speed.packet");
+    eq.run();
+    if (digest)
+        *digest = s.h;
+    return 4 * n; // schedule + execute + cancel + re-arm per packet
+}
+
 struct Result
 {
     const char *workload;
@@ -198,6 +243,8 @@ main(int argc, char **argv)
     const std::uint64_t kDrainN = 1'000'000 / scale;
     const std::uint64_t kCancelN = 500'000 / scale;
     const std::uint64_t kMixedN = 1'000'000 / scale;
+    const std::uint64_t kSparseN = 1'000'000 / scale;
+    constexpr double kMaxScansPerEvent = 0.25;
 
     std::printf("engine_speed: ladder EventQueue vs binary-heap "
                 "oracle\n");
@@ -230,19 +277,38 @@ main(int argc, char **argv)
     results.push_back(timed("mixed", "heap", [&] {
         return heap([&](auto &eq) { return mixed(eq, kMixedN, 11); });
     }));
+    double scansPerEvent = 0;
+    results.push_back(timed("sparse_stream", "ladder", [&] {
+        return ladder([&](auto &eq) {
+            std::uint64_t ops = sparseStream(eq, kSparseN);
+            scansPerEvent = double(eq.stats().wheelScans) /
+                            double(eq.stats().executed);
+            return ops;
+        });
+    }));
+    results.push_back(timed("sparse_stream", "heap", [&] {
+        return heap([&](auto &eq) { return sparseStream(eq, kSparseN); });
+    }));
+    bool scansOk = scansPerEvent <= kMaxScansPerEvent;
+    std::printf("  sparse_stream    wheel scans per event %.3f "
+                "(gate <= %.2f) %s\n",
+                scansPerEvent, kMaxScansPerEvent, scansOk ? "PASS" : "FAIL");
 
-    // Determinism replay: the same op stream twice through the new
+    // Determinism replay: the same op streams twice through the new
     // engine must execute in the identical order.
-    std::uint64_t d1 = 0, d2 = 0;
+    std::uint64_t d1 = 0, d2 = 0, s1 = 0, s2 = 0;
     {
-        sim::EventQueue a, b;
+        sim::EventQueue a, b, c, d;
         mixed(a, kMixedN / 4, 23, &d1);
         mixed(b, kMixedN / 4, 23, &d2);
+        sparseStream(c, kSparseN / 4, &s1);
+        sparseStream(d, kSparseN / 4, &s2);
     }
-    bool deterministic = d1 == d2;
-    std::printf("  determinism replay: %s (digest %016llx)\n",
+    bool deterministic = d1 == d2 && s1 == s2;
+    std::printf("  determinism replay: %s (digests %016llx %016llx)\n",
                 deterministic ? "ok" : "MISMATCH",
-                static_cast<unsigned long long>(d1));
+                static_cast<unsigned long long>(d1),
+                static_cast<unsigned long long>(s1));
 
     std::FILE *js = std::fopen(json_path, "w");
     if (!js) {
@@ -273,12 +339,16 @@ main(int argc, char **argv)
         std::fprintf(js, "    \"%s\": %.2f%s\n", results[i].workload,
                      speedup, i + 3 < results.size() ? "," : "");
     }
-    std::fprintf(js, "  },\n  \"determinism_replay\": \"%s\"\n}\n",
+    std::fprintf(js,
+                 "  },\n  \"sparse_stream_scans_per_event\": %.4f,\n"
+                 "  \"scans_per_event_ok\": %s,\n"
+                 "  \"determinism_replay\": \"%s\"\n}\n",
+                 scansPerEvent, scansOk ? "true" : "false",
                  deterministic ? "ok" : "mismatch");
     std::fclose(js);
     std::printf("  wrote %s\n", json_path);
 
-    if (!deterministic)
+    if (!deterministic || !scansOk)
         return 1;
     if (!meets) {
         std::printf("  WARNING: cancel_heavy speedup below 3x target\n");

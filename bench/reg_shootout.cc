@@ -32,7 +32,10 @@ std::uint64_t g_allocs = 0;
 
 } // namespace
 
-void *
+// The overrides stay out of line so GCC does not pair an inlined
+// malloc()/free() with a new- or delete-expression
+// (-Wmismatched-new-delete).
+__attribute__((noinline)) void *
 operator new(std::size_t sz)
 {
     ++g_allocs;
@@ -41,31 +44,31 @@ operator new(std::size_t sz)
     throw std::bad_alloc();
 }
 
-void *
+__attribute__((noinline)) void *
 operator new[](std::size_t sz)
 {
     return ::operator new(sz);
 }
 
-void
+__attribute__((noinline)) void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

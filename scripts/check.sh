@@ -102,9 +102,11 @@ echo "load memory gate: peak RSS ${rss_kb} KiB <= ${rss_ceiling_kb} KiB"
 
 echo "== tier 5: engine smoke (engine_speed --smoke) =="
 # Reduced-scale run of the event-engine microbench: proves the ladder
-# engine's determinism replay and emits the JSON artifact. Exit 2 only
-# flags a sub-3x cancel_heavy speedup, which is timing-noise-prone at
-# smoke scale; exit 1 (determinism mismatch) is always fatal.
+# engine's determinism replay, gates the sparse_stream scenario at
+# <= 0.25 wheel scans per executed event (a count, so never noisy;
+# docs/ENGINE.md) and emits the JSON artifact. Exit 2 only flags a
+# sub-3x cancel_heavy speedup, which is timing-noise-prone at smoke
+# scale; exit 1 (determinism mismatch or scans gate) is always fatal.
 if ./build/bench/engine_speed --smoke \
         --json="$smokedir/BENCH_engine.json" \
         > "$smokedir/engine.txt" 2>&1; then
@@ -117,8 +119,13 @@ else
     exit 1
 fi
 grep "determinism replay" "$smokedir/engine.txt"
+grep "wheel scans per event" "$smokedir/engine.txt"
 grep -q '"determinism_replay": "ok"' "$smokedir/BENCH_engine.json" || {
     echo "FAIL: BENCH_engine.json missing determinism_replay=ok"
+    exit 1
+}
+grep -q '"scans_per_event_ok": true' "$smokedir/BENCH_engine.json" || {
+    echo "FAIL: sparse_stream exceeded 0.25 wheel scans per event"
     exit 1
 }
 

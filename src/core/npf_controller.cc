@@ -11,18 +11,18 @@ namespace {
 
 /**
  * Slab for in-flight NPF breakdowns. The resolution closure chain
- * carries an 8-byte generation-stamped handle instead of a
- * shared_ptr, so raising an NPF performs no heap allocation and each
- * continuation revalidates the handle at fire time (a stale handle —
- * the breakdown released while a continuation still held it — aborts
- * instead of reading recycled memory). Static so handles in closures
+ * owns its breakdown through a PoolRef instead of a shared_ptr, so
+ * raising an NPF performs no heap allocation, and a resolution still
+ * pending when its event queue is destroyed releases the slot with
+ * the closure. Per-thread (not per-controller) so refs in closures
  * parked in a dying event queue can never dangle.
  */
 npf::sim::Pool<npf::core::NpfBreakdown> &
 breakdownPool()
 {
     static thread_local auto *p =
-        new npf::sim::Pool<npf::core::NpfBreakdown>("core::breakdownPool");
+        npf::sim::newThreadPool<npf::core::NpfBreakdown>(
+            "core::breakdownPool");
     return *p;
 }
 
@@ -235,9 +235,9 @@ NpfController::startResolve(ChannelId ch, mem::VirtAddr iova,
     Channel &c = chan(ch);
     ++stats_.npfs;
 
-    sim::PoolHandle bdh = breakdownPool().create();
+    sim::PoolRef bdRef = breakdownPool().acquire();
     sim::Time trigger = jittered(cfg_.fwTriggerInterrupt);
-    breakdownPool().get(bdh)->trigger = trigger;
+    bdRef.as<NpfBreakdown>()->trigger = trigger;
 
     DmaCheck check = checkDmaRaw(ch, iova, len);
     mem::Vpn merge_key = check.firstMissing;
@@ -249,15 +249,16 @@ NpfController::startResolve(ChannelId ch, mem::VirtAddr iova,
     // callback); it still must ride the event queue's inline delegate
     // storage — NPF latency is the quantity this simulator measures,
     // and an allocation here would sit directly on that path. The
-    // breakdown travels as a pooled handle that each continuation
-    // revalidates (get() aborts on a stale generation) and that the
-    // final continuation releases, exactly once.
-    auto resolve = [this, ch, iova, len, write, bdh, merge_key,
-                    has_key = !check.ok, flow,
-                    cb = std::move(cb)]() mutable {
+    // breakdown travels as a PoolRef moved from continuation to
+    // continuation; the final one releases it, and a continuation
+    // destroyed unrun (its queue torn down mid-NPF) releases it too.
+    // Captures are ordered widest first so the closure packs inline.
+    auto resolve = [this, bdRef = std::move(bdRef), iova, len, merge_key,
+                    flow, cb = std::move(cb), ch, write,
+                    has_key = !check.ok]() mutable {
         obs::FlowScope fs(flow);
         Channel &c = chan(ch);
-        NpfBreakdown *bd = breakdownPool().get(bdh);
+        NpfBreakdown *bd = bdRef.as<NpfBreakdown>();
         sim::logf(sim::LogLevel::Debug, eq_.now(),
                   "npf: ch=%u resolving iova=0x%llx len=%zu write=%d", ch,
                   static_cast<unsigned long long>(iova), len, int(write));
@@ -265,11 +266,12 @@ NpfController::startResolve(ChannelId ch, mem::VirtAddr iova,
         bd->resume = jittered(cfg_.fwResume);
         sim::Time rest = bd->driver + bd->ptUpdate + bd->resume;
 
-        eq_.scheduleAfter(rest, [this, ch, bdh, merge_key, has_key, flow,
-                                 cb = std::move(cb)]() mutable {
+        eq_.scheduleAfter(rest, [this, bdRef = std::move(bdRef), merge_key,
+                                 flow, cb = std::move(cb), ch,
+                                 has_key]() mutable {
             obs::FlowScope fs(flow);
             Channel &c = chan(ch);
-            NpfBreakdown *bd = breakdownPool().get(bdh);
+            NpfBreakdown *bd = bdRef.as<NpfBreakdown>();
             sim::logf(sim::LogLevel::Debug, eq_.now(),
                       "npf: ch=%u resolved pages=%u major=%u total=%llu ns",
                       ch, bd->pagesMapped, bd->majorFaults,
@@ -291,7 +293,7 @@ NpfController::startResolve(ChannelId ch, mem::VirtAddr iova,
             }
             // Last read of *bd was above; retire the slot before the
             // next queued NPF can start and recycle it.
-            breakdownPool().release(bdh);
+            bdRef.reset();
             assert(c.inFlight > 0);
             --c.inFlight;
             if (!c.waiting.empty()) {

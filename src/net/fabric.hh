@@ -89,15 +89,15 @@ static_assert(std::is_trivially_copyable_v<WireRecord>);
 
 /**
  * Slab for delivery delegates parked across a fabric's hop chain.
- * Leaked (never destroyed): closures holding refs into it live in
+ * Per-thread, not per-Fabric: closures holding refs into it live in
  * event queues whose teardown order against any one Fabric is
- * unknowable.
+ * unknowable (lifetime rules in sim::newThreadPool).
  */
 inline sim::Pool<sim::EventQueue::Callback> &
 fabricPendingPool()
 {
     static thread_local auto *pool =
-        new sim::Pool<sim::EventQueue::Callback>("net::Fabric.pending");
+        sim::newThreadPool<sim::EventQueue::Callback>("net::Fabric.pending");
     return *pool;
 }
 
@@ -107,7 +107,7 @@ inline sim::Pool<WireRecord> &
 fabricRecordPool()
 {
     static thread_local auto *pool =
-        new sim::Pool<WireRecord>("net::Fabric.record");
+        sim::newThreadPool<WireRecord>("net::Fabric.record");
     return *pool;
 }
 

@@ -36,12 +36,13 @@ struct FabricPacket
     sim::EventQueue::Callback deliver; ///< runs at the destination
 };
 
-/** The descriptor slab; leaked for the same reason as
- *  fabricPendingPool() (see net/fabric.hh). */
+/** The descriptor slab; same lifetime as fabricPendingPool() (see
+ *  net/fabric.hh). */
 inline sim::Pool<FabricPacket> &
 fabricPacketPool()
 {
-    static thread_local auto *pool = new sim::Pool<FabricPacket>("net::Fabric.packet");
+    static thread_local auto *pool =
+        sim::newThreadPool<FabricPacket>("net::Fabric.packet");
     return *pool;
 }
 

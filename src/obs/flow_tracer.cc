@@ -2,6 +2,7 @@
 
 #include "obs/json.hh"
 #include "sim/log.hh"
+#include "sim/thread_exit.hh"
 
 namespace npf::obs {
 
@@ -48,9 +49,15 @@ trackName(int tid)
 FlowTracer &
 FlowTracer::global()
 {
+    // Never destroyed on the main thread (components may record from
+    // static-destruction contexts); freed at shard-worker teardown.
     static thread_local FlowTracer *t = [] {
         auto *tr = new FlowTracer;
         sim::setLogAnnotator(&annotateLogLine);
+        sim::atThreadTeardown([tr] {
+            sim::setLogAnnotator(nullptr);
+            delete tr;
+        });
         return tr;
     }();
     return *t;

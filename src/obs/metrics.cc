@@ -1,20 +1,38 @@
 #include "obs/metrics.hh"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "obs/json.hh"
+#include "sim/thread_exit.hh"
 
 namespace npf::obs {
 
 Registry &
 Registry::global()
 {
-    // Leaked intentionally: components may deregister from arbitrary
-    // static-destruction contexts. thread_local so every shard worker
-    // gets a private registry — components built via
-    // ShardedEngine::invokeOn register with their own shard's
-    // registry and never contend (docs/SHARDING.md).
-    static thread_local Registry *r = new Registry;
+    // Never destroyed on the main thread: components may deregister
+    // from arbitrary static-destruction contexts. thread_local so
+    // every shard worker gets a private registry — components built
+    // via ShardedEngine::invokeOn register with their own shard's
+    // registry and never contend (docs/SHARDING.md). A worker's
+    // registry is freed at its teardown, when every component built
+    // there must already have deregistered.
+    static thread_local Registry *r = [] {
+        auto *reg = new Registry;
+        sim::atThreadTeardown([reg] {
+            if (reg->size() != 0) {
+                std::fprintf(stderr,
+                             "obs::Registry: %zu metrics still "
+                             "registered at thread teardown\n",
+                             reg->size());
+                std::abort();
+            }
+            delete reg;
+        });
+        return reg;
+    }();
     return *r;
 }
 

@@ -11,9 +11,10 @@
  * finest granularity, ~208 days total span) with an overflow list for
  * the far future, slab-allocated intrusive entries recycled through a
  * free list, and generation-stamped handles for O(1) cancellation.
- * The imminent 64 ns window is drained through a small binary heap so
- * the determinism contract — global (time, schedule-sequence) order —
- * is preserved bit-identically against the old binary-heap engine
+ * The imminent window (one or more consecutive occupied 64 ns buckets)
+ * is drained through a small binary heap so the determinism contract —
+ * global (time, schedule-sequence) order — is preserved
+ * bit-identically against the old binary-heap engine
  * (kept as tests/heap_event_queue.hh and proven equivalent by
  * tests/engine_oracle_test.cc). docs/ENGINE.md has the full design.
  */
@@ -71,6 +72,8 @@ class EventQueue
                                            ///< a live event
         std::uint64_t cancelledReaped = 0; ///< cancelled entries
                                            ///< discarded unexecuted
+        std::uint64_t wheelScans = 0;      ///< advance() passes over
+                                           ///< all wheel levels
     };
 
     /**
@@ -287,10 +290,7 @@ class EventQueue
     runUntil(Time until)
     {
         // Single-scan drain: each iteration validates the heap top
-        // once and either executes it or stops. The old
-        // peekNextTime()+step() pairing validated (and potentially
-        // ghost-popped / advanced) twice per event, which doubled the
-        // wheel work exactly where burst arrivals batch up.
+        // once and either executes it or stops.
         while (stepBounded(until) == Bounded::Ran) {
         }
         if (now_ < until)
@@ -402,6 +402,17 @@ class EventQueue
     static constexpr unsigned kSlots = 1u << kSlotBits;   // 256
     static constexpr unsigned kShift0 = 6;                // 64 ns
     static constexpr Time kSlotSpan0 = Time(1) << kShift0;
+
+    // --- imminent-window sizing -----------------------------------------
+    //
+    // After advance() moves the earliest level-0 bucket into curHeap_
+    // it keeps pulling the following occupied level-0 buckets while
+    // the heap holds fewer than kWindowHeapCap entries, and never lets
+    // the window reach past kWindowSpan (the level-0 ring) from its
+    // start. A wider window means fewer wheel scans; the cap keeps the
+    // heap's sift depth small in dense traffic.
+    static constexpr std::size_t kWindowHeapCap = 4;
+    static constexpr Time kWindowSpan = Time(kSlots) << kShift0;
 
     static constexpr unsigned
     levelShift(unsigned level)
@@ -609,12 +620,14 @@ class EventQueue
     advance()
     {
         for (;;) {
+            ++stats_.wheelScans;
             // Earliest occupied bucket per level; min start wins,
             // ties go to the coarsest level so its contents merge
             // down before anything beneath them drains.
             int bestLevel = -1;
             Time bestStart = 0;
             std::uint64_t bestAbs = 0;
+            Time coarseStart = kTimeMax; // earliest above level 0
             for (unsigned level = 0; level < kLevels; ++level) {
                 unsigned sh = levelShift(level);
                 std::uint64_t cursor = base_ >> sh;
@@ -624,6 +637,8 @@ class EventQueue
                     continue;
                 std::uint64_t abs = cursor + std::uint64_t(k);
                 Time start = Time(abs) << sh;
+                if (level > 0)
+                    coarseStart = std::min(coarseStart, start);
                 if (bestLevel < 0 || start < bestStart ||
                     (start == bestStart && level > unsigned(bestLevel))) {
                     bestLevel = int(level);
@@ -667,10 +682,51 @@ class EventQueue
                 unsigned(bestAbs & (kSlots - 1));
             if (bestLevel == 0) {
                 moveBucketToCurrent(bucketIdx);
+                widenWindow(bestAbs, coarseStart);
                 return true;
             }
             cascade(bucketIdx);
         }
+    }
+
+    /**
+     * Extend the window just opened at level-0 slot @p abs over the
+     * next occupied level-0 buckets (see kWindowHeapCap), then set
+     * wheelMin_ to the window end. The window stops below @p coarseStart,
+     * the overflow minimum and the level-0 ring's end: events there
+     * are not in the heap. When level 0 holds nothing below that
+     * limit the window runs up to it, so successors scheduled into
+     * the gap go straight to the heap instead of costing a scan.
+     */
+    void
+    widenWindow(std::uint64_t abs, Time coarseStart)
+    {
+        Time limit = std::min(coarseStart, saturatingAdd(base_, kWindowSpan));
+        if (overflowMin_ < limit)
+            limit = overflowMin_ & ~Time(kSlotSpan0 - 1);
+        Time end = curWindowEnd_;
+        for (;;) {
+            int k = findCircular(occ_[0].data(),
+                                 unsigned((abs + 1) & (kSlots - 1)));
+            std::uint64_t next = abs + 1 + std::uint64_t(k);
+            Time start = k < 0 ? kTimeMax : Time(next) << kShift0;
+            if (start >= limit) {
+                // Nothing below the limit at level 0. The first
+                // bucket's end is a valid bound even when the limit
+                // is lower (only possible at the end of the time
+                // axis): ties go to the coarsest level, so when level
+                // 0 wins every other bucket starts at or after it.
+                end = std::max(end, limit);
+                break;
+            }
+            if (curHeap_.size() >= kWindowHeapCap)
+                break;
+            abs = next;
+            moveBucketToCurrent(unsigned(abs & (kSlots - 1)));
+            end = saturatingAdd(start, kSlotSpan0);
+        }
+        curWindowEnd_ = end;
+        wheelMin_ = curWindowEnd_;
     }
 
     /** Spill a level-0 bucket into the imminent-window heap. */
@@ -779,31 +835,6 @@ class EventQueue
     trustTop(Time when) const
     {
         return when <= wheelMin_ && when <= overflowMin_;
-    }
-
-    /**
-     * Time of the next event that will actually run, advancing the
-     * wheels (but executing nothing) to find it.
-     */
-    bool
-    peekNextTime(Time &t)
-    {
-        for (;;) {
-            while (!curHeap_.empty()) {
-                const HeapItem &top = curHeap_.front();
-                const Entry &e = slab_[top.idx];
-                if (e.gen != top.gen || e.bucket != kBucketCurrent) {
-                    popHeap(); // discard ghost
-                    continue;
-                }
-                if (!trustTop(top.when))
-                    break; // something earlier may sit in the wheels
-                t = top.when;
-                return true;
-            }
-            if (!advance())
-                return false;
-        }
     }
 
     std::vector<Entry> slab_;

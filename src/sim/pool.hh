@@ -39,6 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/thread_exit.hh"
+
 #ifndef NDEBUG
 #include <thread>
 #endif
@@ -403,6 +405,33 @@ class Pool final : public PoolBase
     std::size_t liveCount_ = 0;
     std::uint64_t totalAcquired_ = 0;
 };
+
+/**
+ * Create a per-thread pool singleton (the `static thread_local auto *`
+ * pattern). It is never destroyed on the main thread, where closures
+ * holding refs into it may die in static destruction; on a shard
+ * worker it is freed by runThreadTeardown() after the worker's queue
+ * is gone. Every object must be released by then — a live count
+ * above zero means a world or a parked closure outlived its shard, so
+ * it aborts instead of leaking silently.
+ */
+template <typename T>
+Pool<T> *
+newThreadPool(const char *name)
+{
+    auto *pool = new Pool<T>(name);
+    atThreadTeardown([pool, name] {
+        if (pool->live() != 0) {
+            std::fprintf(stderr,
+                         "%s: %zu objects still live at thread "
+                         "teardown\n",
+                         name, pool->live());
+            std::abort();
+        }
+        delete pool;
+    });
+    return pool;
+}
 
 } // namespace npf::sim
 

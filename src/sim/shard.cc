@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/thread_exit.hh"
+
 namespace npf::sim {
 
 ShardedEngine::ShardedEngine(Config cfg) : cfg_(cfg)
@@ -95,6 +97,8 @@ ShardedEngine::workerLoop(Shard &s)
             (*fn)();
         else if (job == 2)
             runShard(s, until);
+        else if (job == 3)
+            runThreadTeardown(); // the queue is already gone
         {
             std::lock_guard<std::mutex> lk(s.mu);
             s.done = true;

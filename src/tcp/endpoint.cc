@@ -7,8 +7,9 @@ namespace npf::tcp {
 sim::Pool<Segment> &
 segmentPool()
 {
-    static thread_local auto *pool = new sim::Pool<Segment>("tcp::segmentPool");
-    return *pool; // leaked intentionally: outlives all frames
+    static thread_local auto *pool =
+        sim::newThreadPool<Segment>("tcp::segmentPool");
+    return *pool; // outlives all frames (see sim::newThreadPool)
 }
 
 Endpoint::Endpoint(sim::EventQueue &eq, eth::EthNic &nic,

@@ -14,6 +14,13 @@
  * Handles differ between engines (the heap numbers events densely,
  * the ladder packs slab index + generation), so cancellation targets
  * are chosen by birth order and mapped through parallel id vectors.
+ *
+ * The window-edge streams aim at the ladder's imminent window, which
+ * spans several 64 ns buckets: times straddle bucket edges, level-1
+ * slot starts and the window's current end (read from the ladder),
+ * deadlines fall inside it, and chained callbacks schedule into it.
+ * A chained event's children are planned when the ladder runs it and
+ * replayed verbatim when the oracle runs the same birth.
  */
 
 #include <gtest/gtest.h>
@@ -43,20 +50,37 @@ struct Exec
     }
 };
 
+/** A child event planned by a chained callback on the ladder side. */
+struct Child
+{
+    sim::Time when;
+    std::uint64_t birth;
+    bool chain;
+};
+
 /**
  * Drives both engines through one seeded op stream and checks them
- * against each other after every run-ish op and at the end.
+ * against each other after every run-ish op and at the end. With
+ * @p windowEdges the stream also targets the imminent window (see the
+ * file comment); @p origin first moves both clocks there (an anchor
+ * near kTimeMax exercises saturation).
  */
 class DifferentialHarness
 {
   public:
-    explicit DifferentialHarness(std::uint32_t seed) : rng_(seed) {}
+    explicit DifferentialHarness(std::uint32_t seed, bool windowEdges = false,
+                                 sim::Time origin = 0)
+        : rng_(seed), windowEdges_(windowEdges)
+    {
+        ladder_.runUntil(origin);
+        oracle_.runUntil(origin);
+    }
 
     void
     run(int ops)
     {
         for (int i = 0; i < ops; ++i) {
-            switch (pick({30, 20, 20, 12, 10, 8})) {
+            switch (pick({30, 20, 20, 12, 10, 8, windowEdges_ ? 20 : 0})) {
               case 0:
                 doSchedule();
                 break;
@@ -75,6 +99,13 @@ class DifferentialHarness
               case 5:
                 doStepBurst();
                 break;
+              case 6: {
+                sim::Time when = windowTime();
+                std::uint64_t birth = births_++;
+                scheduleNew(when, birth, true);
+                scheduleOld(when, birth);
+                break;
+              }
             }
             checkClocks();
         }
@@ -132,18 +163,121 @@ class DifferentialHarness
         }
     }
 
+    sim::Time
+    uniform(sim::Time lo, sim::Time hi)
+    {
+        return std::uniform_int_distribution<sim::Time>(lo, hi)(rng_);
+    }
+
+    /** Start of the @p k-th slot after now's at wheel shift @p shift,
+     *  saturating at kTimeMax. */
+    sim::Time
+    slotAhead(unsigned shift, sim::Time k)
+    {
+        sim::Time slot = (ladder_.now() >> shift) + k;
+        return slot > (sim::kTimeMax >> shift) ? sim::kTimeMax
+                                                : slot << shift;
+    }
+
+    /** @p t moved by -2..+2 ns, clamped to [now, kTimeMax]. */
+    sim::Time
+    jitter(sim::Time t)
+    {
+        sim::Time d = uniform(0, 4);
+        t = d < 2 ? t - std::min(t, 2 - d) : sim::saturatingAdd(t, d - 2);
+        return std::max(t, ladder_.now());
+    }
+
+    /**
+     * An absolute time aimed at the imminent window's structure:
+     * inside it, at its end, at level-0 bucket edges, or at level-1
+     * slot starts (multiples of 16384 ns) within the level-0 ring.
+     */
+    sim::Time
+    windowTime()
+    {
+        sim::Time now = ladder_.now();
+        sim::Time end = std::max(ladder_.curWindowEnd_, now);
+        switch (pick({3, 3, 3, 2})) {
+          case 0:
+            return now + uniform(0, std::min<sim::Time>(end - now, 1 << 15));
+          case 1:
+            return jitter(uniform(0, 3) == 0 ? sim::saturatingAdd(end, 64)
+                                             : end);
+          case 2:
+            return jitter(slotAhead(6, uniform(1, 300)));
+          default:
+            return jitter(slotAhead(14, uniform(1, 2)));
+        }
+    }
+
+    /** Grow the per-birth vectors to hold @p birth. */
+    void
+    grow(std::uint64_t birth)
+    {
+        if (birth >= idsNew_.size()) {
+            idsNew_.resize(birth + 1);
+            idsOld_.resize(birth + 1);
+            plans_.resize(birth + 1);
+        }
+    }
+
+    /**
+     * Schedule @p birth on the ladder. A chained event plans 0-2
+     * children when it runs (into the open window, at its end, or at
+     * bucket edges) and schedules them on the ladder at once.
+     */
+    void
+    scheduleNew(sim::Time when, std::uint64_t birth, bool chain)
+    {
+        grow(birth);
+        idsNew_[birth] = ladder_.schedule(
+            when,
+            [this, birth, chain] {
+                logNew_.push_back({ladder_.now(), birth});
+                if (!chain)
+                    return;
+                int n = pick({3, 5, 2});
+                for (int i = 0; i < n; ++i) {
+                    Child c{windowTime(), births_++, pick({1, 1}) == 0};
+                    plans_[birth].push_back(c);
+                    scheduleNew(c.when, c.birth, c.chain);
+                }
+            },
+            "diff.chain");
+    }
+
+    /** Schedule the oracle's copy of @p birth, replaying the children
+     *  the ladder planned for it. */
+    void
+    scheduleOld(sim::Time when, std::uint64_t birth)
+    {
+        idsOld_[birth] = oracle_.schedule(
+            when,
+            [this, birth] {
+                logOld_.push_back({oracle_.now(), birth});
+                std::vector<Child> children = plans_[birth];
+                for (const Child &c : children)
+                    scheduleOld(c.when, c.birth);
+            },
+            "diff.chain");
+    }
+
     void
     doSchedule()
     {
         std::uint64_t birth = births_++;
         sim::Time when =
-            sim::saturatingAdd(ladder_.now(), randomDelay());
-        idsNew_.push_back(ladder_.schedule(
+            windowEdges_ && pick({1, 1}) == 0
+                ? windowTime()
+                : sim::saturatingAdd(ladder_.now(), randomDelay());
+        grow(birth);
+        idsNew_[birth] = ladder_.schedule(
             when, [this, birth] { logNew_.push_back({ladder_.now(), birth}); },
-            "diff.sched"));
-        idsOld_.push_back(oracle_.schedule(
+            "diff.sched");
+        idsOld_[birth] = oracle_.schedule(
             when, [this, birth] { logOld_.push_back({oracle_.now(), birth}); },
-            "diff.sched"));
+            "diff.sched");
     }
 
     void
@@ -151,14 +285,25 @@ class DifferentialHarness
     {
         std::uint64_t birth = births_++;
         sim::Time delay = randomDelay();
-        idsNew_.push_back(ladder_.scheduleAfter(
+        grow(birth);
+        idsNew_[birth] = ladder_.scheduleAfter(
             delay,
             [this, birth] { logNew_.push_back({ladder_.now(), birth}); },
-            "diff.after"));
-        idsOld_.push_back(oracle_.scheduleAfter(
+            "diff.after");
+        idsOld_[birth] = oracle_.scheduleAfter(
             delay,
             [this, birth] { logOld_.push_back({oracle_.now(), birth}); },
-            "diff.after"));
+            "diff.after");
+    }
+
+    /** A run deadline: random, or (window-edge streams) aimed inside
+     *  or at the end of the imminent window. */
+    sim::Time
+    deadline()
+    {
+        if (windowEdges_ && pick({1, 1}) == 0)
+            return windowTime();
+        return sim::saturatingAdd(ladder_.now(), randomDelay());
     }
 
     void
@@ -181,8 +326,7 @@ class DifferentialHarness
     void
     doRunUntil()
     {
-        sim::Time until =
-            sim::saturatingAdd(ladder_.now(), randomDelay());
+        sim::Time until = deadline();
         ladder_.runUntil(until);
         oracle_.runUntil(until);
         checkLogs();
@@ -191,17 +335,16 @@ class DifferentialHarness
     void
     doRunUntilCondition()
     {
-        sim::Time deadline =
-            sim::saturatingAdd(ladder_.now(), randomDelay());
+        sim::Time until = deadline();
         // Fire until a fixed number of further events have executed;
         // expressed over each engine's own log so both predicates are
         // observationally identical.
         std::size_t goalNew = logNew_.size() + 3;
         std::size_t goalOld = logOld_.size() + 3;
         bool okNew = ladder_.runUntilCondition(
-            [&] { return logNew_.size() >= goalNew; }, deadline);
+            [&] { return logNew_.size() >= goalNew; }, until);
         bool okOld = oracle_.runUntilCondition(
-            [&] { return logOld_.size() >= goalOld; }, deadline);
+            [&] { return logOld_.size() >= goalOld; }, until);
         EXPECT_EQ(okNew, okOld);
         checkLogs();
     }
@@ -262,10 +405,12 @@ class DifferentialHarness
     }
 
     std::mt19937 rng_;
+    bool windowEdges_;
     sim::EventQueue ladder_;
     simtest::HeapEventQueue oracle_;
     std::vector<sim::EventId> idsNew_;
     std::vector<simtest::HeapEventQueue::EventId> idsOld_;
+    std::vector<std::vector<Child>> plans_; ///< [birth] chained children
     std::vector<Exec> logNew_, logOld_;
     std::size_t check_ = 0;
     std::uint64_t births_ = 0;
@@ -328,4 +473,27 @@ TEST(EngineOracle, CancelStormMatchesHeapEngine)
         EXPECT_EQ(ladder.stats().cancelledReaped,
                   oracle.stats().cancelledReaped);
     }
+}
+
+TEST(EngineOracle, WindowEdgesMatchHeapEngine)
+{
+    for (std::uint32_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        DifferentialHarness h(seed, true);
+        h.run(600);
+    }
+}
+
+TEST(EngineOracle, WindowEdgesNearEndOfTimeMatchHeapEngine)
+{
+    // Anchors in the last level-0 ring and the last few buckets
+    // before kTimeMax: window ends and slot starts saturate there.
+    const sim::Time origins[] = {sim::kTimeMax - 40000, sim::kTimeMax - 300};
+    for (sim::Time origin : origins)
+        for (std::uint32_t seed = 200; seed <= 207; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " origin " << origin);
+            DifferentialHarness h(seed, true, origin);
+            h.run(400);
+        }
 }

@@ -298,6 +298,26 @@ TEST(ShardedEngineDeath, LookaheadViolationAborts)
         "lookahead window");
 }
 
+TEST(ShardedEngineDeath, LivePoolObjectAtWorkerTeardownAborts)
+{
+    // Worker teardown frees the worker's per-thread pools and audits
+    // them: an object still live there outlived its shard's worlds
+    // and queue, which would otherwise be a silent leak.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            sim::ShardedEngine::Config cfg;
+            cfg.shards = 2;
+            sim::ShardedEngine engine(cfg);
+            engine.invokeOn(1, [] {
+                static thread_local auto *pool =
+                    sim::newThreadPool<int>("test.teardownPool");
+                pool->create(7); // never released
+            });
+        },
+        "test.teardownPool: 1 objects still live at thread teardown");
+}
+
 TEST(EventQueueDeath, BoundaryScheduledInThePastAborts)
 {
     // scheduleBoundary never clamps a past delivery to now: that

@@ -477,6 +477,42 @@ TEST(EventQueue, TimerRestartPatternRecyclesSlots)
     EXPECT_EQ(eq.stats().executed, 1u);
 }
 
+TEST(EventQueue, SparseStreamScansWheelsOncePerWindow)
+{
+    // A NIC-like packet stream: every event schedules its successor
+    // 150-300 ns later, then re-arms an RTO-style timer (cancel, then
+    // schedule 1 ms out). The imminent window must span the gaps
+    // instead of costing a wheel scan (or two) per packet.
+    struct Stream
+    {
+        sim::EventQueue eq;
+        sim::EventId rto = sim::kInvalidEvent;
+        std::uint64_t left = 100000;
+        sim::Time last = 0;
+        bool ordered = true;
+
+        void
+        packet()
+        {
+            ordered = ordered && eq.now() >= last;
+            last = eq.now();
+            if (--left != 0)
+                eq.scheduleAfter(150 + (left * 37) % 151,
+                                 [this] { packet(); });
+            eq.cancel(rto);
+            rto = eq.scheduleAfter(sim::kMillisecond, [] {});
+        }
+    } s;
+    s.eq.schedule(0, [&s] { s.packet(); });
+    s.eq.run();
+    const auto &st = s.eq.stats();
+    EXPECT_TRUE(s.ordered);
+    EXPECT_EQ(st.executed, 100001u); // the last timer fires
+    EXPECT_LE(st.wheelScans, st.executed / 4)
+        << "wheel scans per event: "
+        << double(st.wheelScans) / double(st.executed);
+}
+
 TEST(EventQueue, CancelFromInsideCallbacks)
 {
     sim::EventQueue eq;
