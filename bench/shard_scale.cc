@@ -2,14 +2,17 @@
  * @file
  * Scaling gate for the sharded simulation core (docs/SHARDING.md).
  *
- * The logical workload is S independent KV-RPC worlds — 1M+ logical
- * clients total, split evenly — plus a ring of cross-shard RC streams
+ * The logical workload is N KV-RPC partitions — 1M+ logical clients
+ * total, split evenly — plus a ring of cross-partition RC streams
  * riding the fabric record plane, so the shards genuinely couple
  * through BoundaryMsgs rather than running embarrassingly parallel.
- * The same workload runs on 1 shard and on --shards=N shards; the
- * bench reports wall-clock events/sec for each, replays the N-shard
- * run to prove per-seed bit-identical determinism, and writes
- * BENCH_shard.json.
+ * The same N partitions run on 1 shard and on N = --shards shards
+ * (partition p on shard p % shards, as perfbench's sharded_kv places
+ * them). The bench checks that both runs executed the same events and
+ * reproduce the same digest, replays the N-shard run to prove per-seed
+ * bit-identical determinism, and only then reports the wall-clock
+ * speedup, with each shard's sync accounting (windows, parks, blocked
+ * time, ring high-water). Everything goes to BENCH_shard.json.
  *
  * The >=3x speedup gate is only meaningful with real cores under the
  * worker threads: when hardware_concurrency() < 4 the verdict is
@@ -27,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,7 +53,8 @@ constexpr std::size_t kGiB = 1ull << 30;
 
 struct Args
 {
-    unsigned shards = 4;           ///< the parallel configuration
+    unsigned shards = 4;           ///< partitions, and the parallel
+                                   ///< configuration's shard count
     std::uint64_t clients = 1u << 20; ///< total logical clients
     double rate = 400e3;           ///< total offered req/s
     unsigned endpoints = 64;       ///< total transport endpoints
@@ -119,7 +124,7 @@ struct Digest
     }
 };
 
-/** One shard's private KV world: server, clients and fabric all
+/** One partition's private KV world: server, clients and fabric all
  *  intra-shard (closure plane), exactly the load_sweep IB stack. */
 struct KvWorld
 {
@@ -175,19 +180,17 @@ struct KvWorld
     }
 };
 
-/** Shard s's endpoint of the cross-shard RC ring: node s of an
- *  S-node fabric facet, streaming Sends to shard (s+1) % S over the
- *  record plane while receiving from (s-1) % S. With S == 1 the ring
- *  degenerates to the fabric loopback path — same code, no threads —
- *  which keeps the 1-shard baseline workload comparable. */
+/** Partition p's endpoint of the cross-partition RC ring: node p of
+ *  an N-node fabric, streaming Sends to partition (p+1) % N over the
+ *  record plane while receiving from (p-1) % N. Records between
+ *  partitions on one shard take the fabric's local path, with the
+ *  same hops and order keys as the cross-shard one. */
 struct StreamWorld
 {
     static constexpr std::size_t kMsgBytes = 8192;
     static constexpr unsigned kRecvDepth = 16;
     static constexpr unsigned kSendWindow = 4;
 
-    sim::EventQueue &eq;
-    std::unique_ptr<net::Fabric> fabric;
     mem::MemoryManager mm;
     mem::AddressSpace &as;
     core::NpfController npfc;
@@ -197,35 +200,24 @@ struct StreamWorld
     std::uint64_t sent = 0, received = 0;
     bool stopped = false;
 
-    StreamWorld(sim::EventQueue &q, sim::ShardedEngine &engine,
-                unsigned s, unsigned shards)
-        : eq(q), mm(1 * kGiB), as(mm.createAddressSpace("stream")),
-          npfc(eq), ch(npfc.attach(as))
+    StreamWorld(sim::EventQueue &eq, net::Fabric &facet, unsigned p,
+                unsigned partitions)
+        : mm(1 * kGiB), as(mm.createAddressSpace("stream")), npfc(eq),
+          ch(npfc.attach(as))
     {
-        // Long-haul link so the record lookahead (propagation +
-        // switch latency = 2.5 us) buys the engine a useful horizon.
-        net::FabricConfig fc{net::LinkConfig{56e9, 2000, 32}, 500};
-        fabric = std::make_unique<net::Fabric>(eq, shards, fc);
-        std::vector<std::uint16_t> owner(shards);
-        for (unsigned n = 0; n < shards; ++n)
-            owner[n] = std::uint16_t(n);
-        fabric->shardBind(engine, s, std::move(owner));
-
         sbuf = as.allocRegion(kMsgBytes * kSendWindow, "stream-s");
         rbuf = as.allocRegion(kMsgBytes * kRecvDepth, "stream-r");
         as.touch(sbuf, kMsgBytes * kSendWindow, /*write=*/true);
         as.touch(rbuf, kMsgBytes * kRecvDepth, /*write=*/true);
 
-        tx = std::make_unique<ib::QueuePair>(eq, *fabric, s, npfc, ch,
-                                             ib::QpConfig{},
-                                             0xbeef + s);
-        rx = std::make_unique<ib::QueuePair>(eq, *fabric, s, npfc, ch,
-                                             ib::QpConfig{},
-                                             0xfeed + s);
-        tx->connectRemote((s + 1) % shards, /*my_kind=*/1,
+        tx = std::make_unique<ib::QueuePair>(eq, facet, p, npfc, ch,
+                                             ib::QpConfig{}, 0xbeef + p);
+        rx = std::make_unique<ib::QueuePair>(eq, facet, p, npfc, ch,
+                                             ib::QpConfig{}, 0xfeed + p);
+        tx->connectRemote((p + 1) % partitions, /*my_kind=*/1,
                           /*peer_kind=*/0);
-        rx->connectRemote((s + shards - 1) % shards, /*my_kind=*/0,
-                          /*peer_kind=*/1);
+        rx->connectRemote((p + partitions - 1) % partitions,
+                          /*my_kind=*/0, /*peer_kind=*/1);
 
         rx->onCompletion([this](const ib::Completion &c) {
             if (!c.isRecv)
@@ -267,7 +259,7 @@ struct StreamWorld
     }
 };
 
-struct ShardWorld
+struct Partition
 {
     std::unique_ptr<KvWorld> kv;
     std::unique_ptr<StreamWorld> stream;
@@ -280,41 +272,68 @@ struct RunResult
     std::uint64_t completions = 0;
     std::uint64_t streamMsgs = 0;
     std::uint64_t digest = 0;
+    std::vector<std::uint64_t> shardEvents;
+    std::vector<sim::ShardedEngine::Stats> sync; ///< per shard
 };
 
+/// Must not exceed the stream fabric's recordLookahead()
+/// (2000 ns propagation + 500 ns switch = 2500 ns).
+constexpr sim::Time kLookahead = 2500;
+
+/** Run a.shards partitions on @p shards shards. */
 RunResult
 runConfig(const Args &a, unsigned shards)
 {
+    const unsigned parts = a.shards;
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
-    // Must not exceed the stream fabric's recordLookahead()
-    // (2000 ns propagation + 500 ns switch = 2500 ns).
-    ec.lookahead = 2500;
+    ec.lookahead = kLookahead;
     sim::ShardedEngine engine(ec);
+    auto shardOf = [shards](unsigned p) { return p % shards; };
+    auto forEachPart = [&](const std::function<void(unsigned)> &fn) {
+        for (unsigned s = 0; s < shards; ++s)
+            engine.invokeOn(s, [&, s] {
+                for (unsigned p = 0; p < parts; ++p)
+                    if (shardOf(p) == s)
+                        fn(p);
+            });
+    };
 
-    std::vector<ShardWorld> worlds(shards);
-    for (unsigned s = 0; s < shards; ++s) {
+    // Long-haul stream links, so the record lookahead (propagation +
+    // switch latency = 2.5 us) buys the engine a useful horizon.
+    std::vector<std::unique_ptr<net::Fabric>> facets(shards);
+    for (unsigned s = 0; s < shards; ++s)
         engine.invokeOn(s, [&, s] {
-            load::PoolConfig pc;
-            pc.clients = a.clients / shards;
-            // Distinct per-shard streams; identical on every replay.
-            pc.seed = a.seed * 0x9e37 + s;
-            std::string err;
-            auto spec = load::WorkloadSpec::parse(
-                "keys=zipf:n=10k,theta=0.99;get=0.9", &err);
-            pc.workload = *spec;
-            pc.workload.arrival.kind = load::ArrivalSpec::Kind::Poisson;
-            pc.workload.arrival.ratePerSec = a.rate / shards;
-            unsigned eps = a.endpoints / shards;
-            if (eps == 0)
-                eps = 1;
-            worlds[s].stream = std::make_unique<StreamWorld>(
-                engine.queue(s), engine, s, shards);
-            worlds[s].kv = std::make_unique<KvWorld>(
-                engine.queue(s), pc, eps, a.warmup, a.duration);
-            worlds[s].kv->pool.start();
+            net::FabricConfig fc{net::LinkConfig{56e9, 2000, 32}, 500};
+            facets[s] =
+                std::make_unique<net::Fabric>(engine.queue(s), parts, fc);
+            std::vector<std::uint16_t> owner(parts);
+            for (unsigned p = 0; p < parts; ++p)
+                owner[p] = std::uint16_t(shardOf(p));
+            facets[s]->shardBind(engine, s, std::move(owner));
         });
-    }
+    std::vector<Partition> worlds(parts);
+    forEachPart([&](unsigned p) {
+        sim::EventQueue &eq = engine.queue(shardOf(p));
+        load::PoolConfig pc;
+        pc.clients = a.clients / parts;
+        // Distinct per-partition streams; identical on every replay.
+        pc.seed = a.seed * 0x9e37 + p;
+        std::string err;
+        auto spec = load::WorkloadSpec::parse(
+            "keys=zipf:n=10k,theta=0.99;get=0.9", &err);
+        pc.workload = *spec;
+        pc.workload.arrival.kind = load::ArrivalSpec::Kind::Poisson;
+        pc.workload.arrival.ratePerSec = a.rate / parts;
+        unsigned eps = a.endpoints / parts;
+        if (eps == 0)
+            eps = 1;
+        worlds[p].stream = std::make_unique<StreamWorld>(
+            eq, *facets[shardOf(p)], p, parts);
+        worlds[p].kv = std::make_unique<KvWorld>(eq, pc, eps, a.warmup,
+                                                 a.duration);
+        worlds[p].kv->pool.start();
+    });
 
     auto t0 = std::chrono::steady_clock::now();
     engine.run(a.warmup + a.duration);
@@ -322,43 +341,61 @@ runConfig(const Args &a, unsigned shards)
 
     RunResult r;
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    Digest d;
     for (unsigned s = 0; s < shards; ++s) {
-        engine.invokeOn(s, [&, s] {
-            ShardWorld &w = worlds[s];
-            w.kv->pool.stop();
-            w.stream->stopped = true;
-
-            const sim::EventQueue::Stats &es = engine.queue(s).stats();
-            r.events += es.executed;
-            r.completions += w.kv->pool.completions();
-            r.streamMsgs += w.stream->received;
-
-            d.mix(s);
-            d.mix(engine.queue(s).now());
-            d.mix(es.executed);
-            d.mix(es.scheduled);
-            d.mix(w.kv->pool.completions());
-            d.mix(w.kv->pool.timeouts());
-            d.mix(w.kv->pool.retries());
-            d.mix(w.kv->rec.completions(0));
-            d.mix(w.kv->rec.completions(1));
-            d.mix(w.kv->serverNpfc.stats().npfs);
-            d.mix(w.kv->clientNpfc.stats().npfs);
-            d.mix(w.stream->sent);
-            d.mix(w.stream->received);
-            d.mix(w.stream->tx->stats().dataPacketsSent);
-            d.mix(w.stream->tx->stats().bytesDelivered);
-            d.mix(w.stream->rx->stats().messagesDelivered);
-            d.mix(w.stream->npfc.stats().npfs);
-            // Worlds die on the thread that built them, before the
-            // engine joins its workers.
-            worlds[s].kv.reset();
-            worlds[s].stream.reset();
-        });
+        r.shardEvents.push_back(engine.queue(s).stats().executed);
+        r.events += r.shardEvents.back();
+        r.sync.push_back(engine.stats(s));
     }
+    // Digest in partition order, from figures that must not depend on
+    // which shard hosted which partition.
+    Digest d;
+    std::uint64_t scheduled = 0;
+    for (unsigned s = 0; s < shards; ++s)
+        scheduled += engine.queue(s).stats().scheduled;
+    std::vector<std::vector<std::uint64_t>> figures(parts);
+    forEachPart([&](unsigned p) {
+        Partition &w = worlds[p];
+        w.kv->pool.stop();
+        w.stream->stopped = true;
+        r.completions += w.kv->pool.completions();
+        r.streamMsgs += w.stream->received;
+        figures[p] = {p,
+                      w.kv->pool.completions(),
+                      w.kv->pool.timeouts(),
+                      w.kv->pool.retries(),
+                      w.kv->rec.completions(0),
+                      w.kv->rec.completions(1),
+                      w.kv->serverNpfc.stats().npfs,
+                      w.kv->clientNpfc.stats().npfs,
+                      w.stream->sent,
+                      w.stream->received,
+                      w.stream->tx->stats().dataPacketsSent,
+                      w.stream->tx->stats().bytesDelivered,
+                      w.stream->rx->stats().messagesDelivered,
+                      w.stream->npfc.stats().npfs};
+        // Worlds die on the thread that built them, before the engine
+        // joins its workers.
+        w.kv.reset();
+        w.stream.reset();
+    });
+    for (const auto &f : figures)
+        for (std::uint64_t v : f)
+            d.mix(v);
+    d.mix(r.events);
+    d.mix(scheduled);
     r.digest = d.h;
+    for (unsigned s = 0; s < shards; ++s)
+        engine.invokeOn(s, [&, s] { facets[s].reset(); });
     return r;
+}
+
+void
+printRow(unsigned shards, const RunResult &r)
+{
+    row("%7u %12" PRIu64 " %9.3f %14.0f %12" PRIu64 " %10" PRIu64
+        " %016" PRIx64,
+        shards, r.events, r.seconds, double(r.events) / r.seconds,
+        r.completions, r.streamMsgs, r.digest);
 }
 
 } // namespace
@@ -368,25 +405,26 @@ main(int argc, char **argv)
 {
     Args a = parseArgs(argc, argv);
     unsigned cpus = std::thread::hardware_concurrency();
+    const sim::Time span = a.warmup + a.duration;
 
     header("shard_scale: sharded engine scaling gate");
-    row("clients=%" PRIu64 " rate=%.0f/s endpoints=%u warmup+duration="
-        "%.0fms cpus=%u",
-        a.clients, a.rate, a.endpoints,
-        sim::toSeconds(a.warmup + a.duration) * 1e3, cpus);
-    row("%7s %12s %9s %14s %12s %10s", "shards", "events", "wall[s]",
-        "events/s", "kv-compl", "stream-msg");
+    row("partitions=%u clients=%" PRIu64 " rate=%.0f/s endpoints=%u "
+        "warmup+duration=%.0fms lookahead=%" PRIu64 "ns cpus=%u",
+        a.shards, a.clients, a.rate, a.endpoints,
+        sim::toSeconds(span) * 1e3, kLookahead, cpus);
+    row("%7s %12s %9s %14s %12s %10s %16s", "shards", "events", "wall[s]",
+        "events/s", "kv-compl", "stream-msg", "digest");
 
     RunResult r1 = runConfig(a, 1);
-    double ev1 = double(r1.events) / r1.seconds;
-    row("%7u %12" PRIu64 " %9.3f %14.0f %12" PRIu64 " %10" PRIu64, 1u,
-        r1.events, r1.seconds, ev1, r1.completions, r1.streamMsgs);
-
+    printRow(1, r1);
     RunResult rn = runConfig(a, a.shards);
-    double evn = double(rn.events) / rn.seconds;
-    row("%7u %12" PRIu64 " %9.3f %14.0f %12" PRIu64 " %10" PRIu64,
-        a.shards, rn.events, rn.seconds, evn, rn.completions,
-        rn.streamMsgs);
+    printRow(a.shards, rn);
+
+    // Both configurations host the same partitions, so they must have
+    // simulated the same thing; otherwise a speedup means nothing.
+    bool sameWork = r1.events == rn.events && r1.digest == rn.digest;
+    row("1 shard vs %u shards: %s", a.shards,
+        sameWork ? "same events and digest" : "MISMATCH");
 
     // Replay the parallel configuration: conservative sync must make
     // the N-shard run a pure function of the seed, thread timing be
@@ -396,16 +434,30 @@ main(int argc, char **argv)
     row("replay digest %016" PRIx64 " vs %016" PRIx64 " : %s",
         rr.digest, rn.digest, deterministic ? "identical" : "MISMATCH");
 
-    double speedup = evn / ev1;
+    // Sync accounting of the measured N-shard run. The half-lookahead
+    // rule bounds each shard's windows by 2 * span / lookahead + 2.
+    const std::uint64_t windowBound = 2 * span / kLookahead + 2;
+    row("%7s %12s %9s %7s %11s %12s", "shard", "events", "windows",
+        "parks", "blocked[s]", "ring-hwm");
+    for (unsigned s = 0; s < a.shards; ++s)
+        row("%7u %12" PRIu64 " %9" PRIu64 " %7" PRIu64 " %11.3f %12zu", s,
+            rn.shardEvents[s], rn.sync[s].windows, rn.sync[s].parks,
+            double(rn.sync[s].blockedNs) * 1e-9, rn.sync[s].ringHighWater);
+    row("window bound 2*span/lookahead+2 = %" PRIu64, windowBound);
+
     const char *verdict;
-    if (cpus < 4)
+    double speedup = r1.seconds / rn.seconds;
+    if (!sameWork)
+        verdict = "not_comparable";
+    else if (cpus < 4)
         verdict = "insufficient_cores";
     else if (speedup >= 3.0)
         verdict = "pass";
     else
         verdict = "fail";
-    row("speedup %ux vs 1: %.2fx  (gate >=3x: %s)", a.shards, speedup,
-        verdict);
+    if (sameWork)
+        row("speedup %ux vs 1: %.2fx  (gate >=3x: %s)", a.shards, speedup,
+            verdict);
 
     FILE *f = std::fopen(a.json, "w");
     if (!f) {
@@ -413,19 +465,32 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"shard_scale\",\n");
+    std::fprintf(f, "  \"partitions\": %u,\n", a.shards);
     std::fprintf(f, "  \"clients\": %" PRIu64 ",\n", a.clients);
     std::fprintf(f, "  \"cpus\": %u,\n", cpus);
+    std::fprintf(f, "  \"span_ns\": %" PRIu64 ",\n", span);
+    std::fprintf(f, "  \"lookahead_ns\": %" PRIu64 ",\n", kLookahead);
     std::fprintf(f, "  \"results\": [\n");
-    std::fprintf(f,
-                 "    {\"shards\": 1, \"events\": %" PRIu64
-                 ", \"seconds\": %.6f, \"events_per_sec\": %.0f, "
-                 "\"digest\": \"%016" PRIx64 "\"},\n",
-                 r1.events, r1.seconds, ev1, r1.digest);
-    std::fprintf(f,
-                 "    {\"shards\": %u, \"events\": %" PRIu64
-                 ", \"seconds\": %.6f, \"events_per_sec\": %.0f, "
-                 "\"digest\": \"%016" PRIx64 "\"}\n",
-                 a.shards, rn.events, rn.seconds, evn, rn.digest);
+    for (const RunResult *r : {&r1, &rn})
+        std::fprintf(f,
+                     "    {\"shards\": %zu, \"events\": %" PRIu64
+                     ", \"seconds\": %.6f, \"events_per_sec\": %.0f, "
+                     "\"digest\": \"%016" PRIx64 "\"}%s\n",
+                     r->shardEvents.size(), r->events, r->seconds,
+                     double(r->events) / r->seconds, r->digest,
+                     r == &r1 ? "," : "");
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"same_work\": %s,\n", sameWork ? "true" : "false");
+    std::fprintf(f, "  \"shard_sync\": [\n");
+    for (unsigned s = 0; s < a.shards; ++s)
+        std::fprintf(f,
+                     "    {\"shard\": %u, \"events\": %" PRIu64
+                     ", \"windows\": %" PRIu64 ", \"parks\": %" PRIu64
+                     ", \"blocked_s\": %.6f, \"ring_high_water\": %zu}%s\n",
+                     s, rn.shardEvents[s], rn.sync[s].windows,
+                     rn.sync[s].parks, double(rn.sync[s].blockedNs) * 1e-9,
+                     rn.sync[s].ringHighWater,
+                     s + 1 < a.shards ? "," : "");
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"speedup_vs_1shard\": %.2f,\n", speedup);
     std::fprintf(f, "  \"determinism_replay\": \"%s\",\n",
@@ -434,7 +499,7 @@ main(int argc, char **argv)
     std::fclose(f);
     row("wrote %s", a.json);
 
-    if (!deterministic)
+    if (!deterministic || !sameWork)
         return 1;
     if (a.speedGate && cpus >= 4 && speedup < 3.0)
         return 1;

@@ -356,18 +356,39 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j "$jobs" --target shard_test
 cmake --build build-tsan -j "$jobs" --target shard_scale
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/shard_test
+# The half-lookahead rule bounds every shard's windows in one run()
+# over `span` by 2 * span / lookahead + 2. A count, not a timing, so
+# it holds on any machine.
+check_windows() {
+    python3 - "$1" <<'PY'
+import json, sys
+b = json.load(open(sys.argv[1]))
+bound = 2 * b["span_ns"] // b["lookahead_ns"] + 2
+for s in b["shard_sync"]:
+    print(f"shard {s['shard']}: {s['windows']} windows (bound {bound})")
+sys.exit(any(s["windows"] > bound for s in b["shard_sync"]))
+PY
+}
 # Smoke-scale scaling run under TSan: exercises the rings, the
-# conservative loop and the record plane with the race detector on.
-# The wall-clock speedup gate is meaningless under TSan overhead, so
-# only the determinism-replay half is enforced.
+# conservative loop, parking and the record plane with the race
+# detector on. The wall-clock speedup gate is meaningless under TSan
+# overhead, so only same-work, replay determinism and the window
+# bound are enforced.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/shard_scale \
     --clients=1M --rate=60k --warmup=5ms --duration=20ms \
     --no-speed-gate --json="$smokedir/BENCH_shard_tsan.json"
+check_windows "$smokedir/BENCH_shard_tsan.json"
 
 # Full scale on the plain build: regenerates the committed artifact
-# and enforces replay determinism plus (on machines with >= 4
-# hardware threads) the >=3x speedup gate.
-./build/bench/shard_scale --json=BENCH_shard.json
+# and enforces same-work, replay determinism, the window bound and
+# (on machines with >= 4 hardware threads) the >=3x speedup gate.
+status=0
+./build/bench/shard_scale --json=BENCH_shard.json || status=$?
+check_windows BENCH_shard.json
+if [ "$status" -ne 0 ]; then
+    echo "shard_scale failed (exit $status)"
+    exit "$status"
+fi
 echo "BENCH_shard.json regenerated"
 
 echo "== all checks passed =="

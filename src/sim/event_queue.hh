@@ -122,17 +122,8 @@ class EventQueue
     {
         if (when < now_)
             when = now_;
-        // Idle queue: re-anchor the wheels at the new event, in either
-        // direction — forward so a long quiet gap does not force it
-        // through the overflow list, backward so a queue parked at the
-        // far future (a drained "never" sentinel) recovers. Only ghost
-        // heap items can remain, and those are skipped by generation.
-        if (liveCount_ == 0) {
-            base_ = when & ~Time(kSlotSpan0 - 1);
-            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
-            wheelMin_ = kTimeMax;
-            overflowMin_ = kTimeMax;
-        }
+        if (liveCount_ == 0)
+            reanchor();
         std::uint32_t idx = allocSlot();
         Entry &e = slab_[idx];
         e.when = when;
@@ -195,12 +186,8 @@ class EventQueue
                          site ? ", site " : "", site ? site : "");
             std::abort();
         }
-        if (liveCount_ == 0) {
-            base_ = when & ~Time(kSlotSpan0 - 1);
-            curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
-            wheelMin_ = kTimeMax;
-            overflowMin_ = kTimeMax;
-        }
+        if (liveCount_ == 0)
+            reanchor();
         std::uint32_t idx = allocSlot();
         Entry &e = slab_[idx];
         e.when = when;
@@ -578,6 +565,27 @@ class EventQueue
     }
 
     // --- placement ------------------------------------------------------
+
+    /**
+     * Idle queue: move the imminent window to now_'s bucket; every
+     * future event lies at or after now_. That recovers a queue whose
+     * window was left at the far future (a "never" sentinel pulled in
+     * from the overflow list, then cancelled). Anchoring at the new
+     * event instead goes wrong when a callback cancels and re-arms the
+     * queue's only timer before scheduling its successor: the window
+     * would open at the timer, so the successor and everything after
+     * it would land in curHeap_, and every cancelled timer would stay
+     * there as a ghost. Only ghost heap items can remain here, and
+     * those are skipped by generation.
+     */
+    void
+    reanchor()
+    {
+        base_ = now_ & ~Time(kSlotSpan0 - 1);
+        curWindowEnd_ = saturatingAdd(base_, kSlotSpan0);
+        wheelMin_ = kTimeMax;
+        overflowMin_ = kTimeMax;
+    }
 
     /**
      * File event @p idx (when = @p when) into the structure that owns

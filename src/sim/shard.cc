@@ -1,12 +1,61 @@
 #include "sim/shard.hh"
 
+#include <sched.h>
+
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "sim/thread_exit.hh"
 
 namespace npf::sim {
+
+namespace {
+
+/// Polls a waiting worker makes before it parks: about 200 us of
+/// `pause` on current x86. Waits with a core per worker last about one
+/// neighbor window and end well inside it. The budget must also
+/// outlast the wake-up of a parked neighbor (tens of us, more when its
+/// core went idle): a budget shorter than that turns one park into a
+/// chain of them, each worker parking while the other wakes up.
+constexpr unsigned kSpinPolls = 8192;
+
+/** CPUs this process may run on: its affinity mask, which the shard
+ *  workers inherit from the thread that constructs the engine. */
+unsigned
+usableCpus()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return unsigned(CPU_COUNT(&set));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** Spin-wait hint (x86 `pause`, Arm `yield`); not a syscall. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+std::uint64_t
+nowNs()
+{
+    return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now()
+                                 .time_since_epoch())
+                             .count());
+}
+
+} // namespace
 
 ShardedEngine::ShardedEngine(Config cfg) : cfg_(cfg)
 {
@@ -18,6 +67,9 @@ ShardedEngine::ShardedEngine(Config cfg) : cfg_(cfg)
                             // 1 suffices because published clocks are
                             // floors on *future* work (see runShard)
     threaded_ = cfg_.shards > 1;
+    // With fewer CPUs than workers, a spinning worker keeps the very
+    // neighbor it waits for off the CPU: park at once instead.
+    spinPolls_ = usableCpus() < cfg_.shards ? 0 : kSpinPolls;
     shards_.reserve(cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         auto sh = std::make_unique<Shard>();
@@ -161,6 +213,59 @@ ShardedEngine::deliver(Shard &s, const BoundaryMsg &m)
 }
 
 void
+ShardedEngine::wakeParked(const Shard &s)
+{
+    // Pairs with the fence in waitUntil(): either a waiter's re-check
+    // sees what s just published, or we see it parked and ring its
+    // bell.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (auto &other : shards_)
+        if (other.get() != &s &&
+            other->parked.load(std::memory_order_relaxed)) {
+            other->bell.fetch_add(1, std::memory_order_release);
+            other->bell.notify_one();
+        }
+}
+
+template <typename Ready>
+void
+ShardedEngine::waitUntil(Shard &s, Ready ready)
+{
+    std::uint64_t t0 = nowNs();
+    unsigned polls = 0;
+    bool done = ready();
+    while (!done) {
+        // A producer that rang since our last drain is stuck on a full
+        // ring into us.
+        std::uint32_t bell = s.bell.load(std::memory_order_acquire);
+        if (bell != s.drainedBell) {
+            drainInto(s);
+        } else if (polls < spinPolls_) {
+            ++polls;
+            cpuRelax();
+        } else {
+            // Park. Whoever publishes what ready() reads calls
+            // wakeParked() afterwards; the fences there and here make
+            // sure that either ready() below sees the new state or the
+            // publisher sees `parked` and bumps the bell, which makes
+            // the wait return (at once, if the bump came first).
+            s.parked.store(true, std::memory_order_relaxed);
+            std::atomic_thread_fence(std::memory_order_seq_cst);
+            done = ready();
+            if (!done) {
+                ++s.stats.parks;
+                s.bell.wait(bell, std::memory_order_acquire);
+            }
+            s.parked.store(false, std::memory_order_relaxed);
+            polls = 0;
+            continue;
+        }
+        done = ready();
+    }
+    s.stats.blockedNs += nowNs() - t0;
+}
+
+void
 ShardedEngine::post(const BoundaryMsg &m)
 {
     Shard &src = *shards_[m.srcShard];
@@ -187,79 +292,116 @@ ShardedEngine::post(const BoundaryMsg &m)
         std::abort();
     }
     SpscRing &ring = *dst.in[m.srcShard];
+    if (ring.tryPush(m))
+        return;
     // Full ring = backpressure: the sender stalls (its clock stops
-    // advancing) until the receiver drains. While waiting, drain our
-    // own inbound rings: if two shards burst into each other's full
-    // rings inside one horizon window, each is popping exactly the
-    // ring the other is spinning on, so the cycle cannot deadlock.
+    // advancing) until the receiver drains. Ring the receiver's bell
+    // so it drains even while it waits; waitUntil() drains our own
+    // inbound rings meanwhile, so if two shards burst into each
+    // other's full rings inside one horizon window, each pops exactly
+    // the ring the other is stuck on and the cycle cannot deadlock.
     // (Drained messages are future events by the lookahead invariant;
     // they are scheduled, never executed, from here.)
-    while (!ring.tryPush(m)) {
-        drainInto(src);
-        std::this_thread::yield();
-    }
+    dst.bell.fetch_add(1, std::memory_order_release);
+    dst.bell.notify_one();
+    waitUntil(src, [&] { return ring.tryPush(m); });
 }
 
 void
 ShardedEngine::drainInto(Shard &s)
 {
+    s.drainedBell = s.bell.load(std::memory_order_acquire);
     BoundaryMsg m;
+    bool popped = false;
     for (auto &ring : s.in)
         if (ring)
-            while (ring->tryPop(m))
+            while (ring->tryPop(m)) {
                 deliver(s, m);
+                popped = true;
+            }
+    if (popped)
+        wakeParked(s); // a producer may be parked on a full ring
+}
+
+Time
+ShardedEngine::horizon(const Shard &s) const
+{
+    Time h = kTimeMax; // exclusive
+    for (const auto &other : shards_)
+        if (other.get() != &s)
+            h = std::min(h, saturatingAdd(other->clock.load(
+                                              std::memory_order_acquire),
+                                          cfg_.lookahead));
+    return h;
 }
 
 void
 ShardedEngine::runShard(Shard &s, Time until)
 {
     const Time lookahead = cfg_.lookahead;
-    bool finished = false;
+    // Half-lookahead rule: a window runs only once it can cover at
+    // least half a lookahead (or reach `until`), so a shard does not
+    // chase every small move of its neighbors' clocks, and a run()
+    // over `span` takes at most 2 * span / lookahead + 2 windows. It
+    // cannot deadlock: the shard with the lowest clock c always has
+    // horizon >= c + lookahead.
+    const Time minStep = (lookahead + 1) / 2;
+    Time clock = s.clock.load(std::memory_order_relaxed);
     for (;;) {
         // Load clocks BEFORE draining: once clock_j = C is observed,
         // every message from j sent below C is already in the ring
         // (push happens-before the clock release-store), and every
         // message still in flight has when >= C + lookahead.
-        Time horizon = kTimeMax; // exclusive
-        for (auto &other : shards_)
-            if (other.get() != &s)
-                horizon = std::min(
-                    horizon,
-                    saturatingAdd(
-                        other->clock.load(std::memory_order_acquire),
-                        lookahead));
+        Time h = horizon(s);
+        auto ready = [&] {
+            return h > until || h >= saturatingAdd(clock, minStep);
+        };
+        if (!ready())
+            waitUntil(s, [&] {
+                h = horizon(s);
+                return ready();
+            });
         drainInto(s);
-        if (finished) {
-            // Ran through `until`, but keep draining: a neighbor may
-            // still be spinning on a full ring into us while it
-            // executes its own final window.
-            if (runDone_.load(std::memory_order_acquire) ==
-                shards_.size())
-                return;
-            std::this_thread::yield();
-            continue;
-        }
         // clock_j is a floor on j's FUTURE executions (it never again
         // runs an event below clock_j), so every in-flight message
         // from j has when >= clock_j + lookahead = horizon_j: times
-        // strictly below horizon are safe. Running through horizon-1
-        // and publishing horizon-1 + 1 is what makes lookahead == 1
-        // sufficient for progress — the old "ran through here" clock
-        // pinned every shard at min_j(clock_j) and livelocked there.
-        Time runTo = std::min(until, horizon - 1);
-        Time prev = s.clock.load(std::memory_order_relaxed);
+        // strictly below the horizon are safe. Running through h - 1
+        // and publishing h is what makes lookahead == 1 sufficient
+        // for progress. A window also stops one lookahead past the
+        // clock: a shard that ran up to its horizon would leave its
+        // neighbor a horizon two lookaheads out, and the two would
+        // settle into taking turns, each idle while the other runs.
+        // Capped, shards that start a window together finish it
+        // together, and run side by side.
+        Time runTo =
+            std::min({until, h - 1, saturatingAdd(clock, lookahead - 1)});
         s.eq->runUntil(runTo);
+        ++s.stats.windows;
         Time next = saturatingAdd(runTo, 1);
-        s.clock.store(next, std::memory_order_release);
-        if (runTo == until && horizon > until) {
-            // Every message with when <= until is accounted for.
-            finished = true;
-            runDone_.fetch_add(1, std::memory_order_acq_rel);
-            continue;
+        if (next != clock) {
+            clock = next;
+            s.clock.store(next, std::memory_order_release);
+            wakeParked(s);
         }
-        if (next <= prev)
-            std::this_thread::yield(); // blocked on a neighbor
+        if (runTo == until)
+            break; // h > until: every message due by until is drained
     }
+    // Wait for every shard to finish. Meanwhile a neighbor may still
+    // get stuck on a full ring into us in its final window; it rings
+    // our bell, and waitUntil() drains.
+    if (runDone_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        shards_.size()) {
+        wakeParked(s);
+    } else {
+        waitUntil(s, [this] {
+            return runDone_.load(std::memory_order_acquire) ==
+                   shards_.size();
+        });
+    }
+    // Every shard has finished, so nothing more is posted in this
+    // run(): schedule all of it now, and run() returns with the same
+    // queue contents however the threads interleaved.
+    drainInto(s);
 }
 
 void
@@ -270,6 +412,7 @@ ShardedEngine::run(Time until)
     if (!threaded_) {
         Shard &s = *shards_[0];
         s.eq->runUntil(until);
+        ++s.stats.windows;
         s.clock.store(saturatingAdd(until, 1),
                       std::memory_order_release);
         return;
@@ -297,6 +440,17 @@ ShardedEngine::executed() const
     for (const auto &sh : shards_)
         n += sh->eq->stats().executed;
     return n;
+}
+
+ShardedEngine::Stats
+ShardedEngine::stats(unsigned s) const
+{
+    const Shard &sh = *shards_[s];
+    Stats st = sh.stats;
+    for (const auto &ring : sh.in)
+        if (ring)
+            st.ringHighWater = std::max(st.ringHighWater, ring->highWater());
+    return st;
 }
 
 } // namespace npf::sim

@@ -20,11 +20,16 @@
  * an event at a time below its published clock (after running through
  * time T it publishes T + 1). Each worker repeatedly
  *
- *   1. loads every neighbor's published clock (acquire),
+ *   1. loads every neighbor's published clock (acquire) and, until
+ *      the safe horizon `min_j(clock_j + lookahead)` is at least half
+ *      a lookahead past its own clock (or past the deadline), waits:
+ *      it spins polling those clocks, then parks until a neighbor
+ *      publishes (see waitUntil()),
  *   2. drains its inbound rings into its event queue,
- *   3. executes events strictly below the safe horizon
- *      `min_j(clock_j + lookahead)`,
- *   4. publishes its own new floor (release).
+ *   3. executes events strictly below the horizon, at most one
+ *      lookahead past its own clock,
+ *   4. publishes its own new floor (release) and wakes any parked
+ *      neighbor.
  *
  * The floor semantics make step 3 safe AND live for any lookahead
  * >= 1: every message still in flight from shard j was (or will be)
@@ -33,11 +38,13 @@
  * running through horizon - 1 then publishing `horizon` always makes
  * progress. (A "ran through here" clock, by contrast, livelocks at
  * lookahead == 1: no shard could ever pass min_j(clock_j).) The
- * load-then-drain order closes the race: a sender pushes a message
- * into the ring *before* the release-store of the clock value that
- * made it possible, so once a receiver has acquire-loaded clock C
- * from shard j, every message from j stamped below C + lookahead is
- * already visible in the ring.
+ * half-lookahead rule in step 1 cannot deadlock either: the shard
+ * with the lowest clock always sees a horizon at least a full
+ * lookahead ahead. The load-then-drain order closes the race: a
+ * sender pushes a message into the ring *before* the release-store
+ * of the clock value that made it possible, so once a receiver has
+ * acquire-loaded clock C from shard j, every message from j stamped
+ * below C + lookahead is already visible in the ring.
  *
  * Determinism: delivered messages are injected with
  * EventQueue::scheduleBoundary(when, orderKey), whose (when, key)
@@ -51,6 +58,7 @@
 #ifndef NPF_SIM_SHARD_HH
 #define NPF_SIM_SHARD_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -121,8 +129,13 @@ static_assert(std::is_trivially_copyable_v<BoundaryMsg>);
 
 /**
  * Fixed-capacity single-producer/single-consumer ring of
- * BoundaryMsg. Lock-free, alloc-free after construction; the
- * producer spins (with yields) when full — backpressure, never loss.
+ * BoundaryMsg. Lock-free, alloc-free after construction; a full ring
+ * is backpressure, never loss (ShardedEngine::post() waits).
+ *
+ * Each side keeps a private copy of the other side's cursor and
+ * reloads the shared one only when the ring looks full (producer) or
+ * empty (consumer), so a steady stream touches the other side's
+ * cache line once per batch instead of once per message.
  */
 class SpscRing
 {
@@ -137,23 +150,32 @@ class SpscRing
         mask_ = cap - 1;
     }
 
+    /** Producer side. @return false when the ring is full. */
     bool
     tryPush(const BoundaryMsg &m)
     {
         std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        if (t - head_.load(std::memory_order_acquire) > mask_)
-            return false; // full
+        if (t - headCache_ > mask_) {
+            headCache_ = head_.load(std::memory_order_acquire);
+            if (t - headCache_ > mask_)
+                return false; // full
+        }
         slots_[t & mask_] = m;
         tail_.store(t + 1, std::memory_order_release);
         return true;
     }
 
+    /** Consumer side. @return false when the ring is empty. */
     bool
     tryPop(BoundaryMsg &out)
     {
         std::uint64_t h = head_.load(std::memory_order_relaxed);
-        if (h == tail_.load(std::memory_order_acquire))
-            return false; // empty
+        if (h == tailCache_) {
+            tailCache_ = tail_.load(std::memory_order_acquire);
+            if (h == tailCache_)
+                return false; // empty
+            highWater_ = std::max<std::size_t>(highWater_, tailCache_ - h);
+        }
         out = slots_[h & mask_];
         head_.store(h + 1, std::memory_order_release);
         return true;
@@ -161,20 +183,22 @@ class SpscRing
 
     std::size_t capacity() const { return mask_ + 1; }
 
-    bool
-    empty() const
-    {
-        return head_.load(std::memory_order_acquire) ==
-               tail_.load(std::memory_order_acquire);
-    }
+    /** Largest backlog the consumer has found on reloading the tail
+     *  (consumer side; capacity() means a producer hit a full ring). */
+    std::size_t highWater() const { return highWater_; }
 
   private:
     std::size_t mask_ = 0;
     std::vector<BoundaryMsg> slots_;
-    /// Consumer cursor (next pop). Separate cache lines: the producer
-    /// and consumer each write one cursor and only read the other.
-    alignas(64) std::atomic<std::uint64_t> head_{0};
+    /// Shared cursors, one cache line each: the consumer writes head_
+    /// and the producer tail_.
+    alignas(64) std::atomic<std::uint64_t> head_{0}; ///< next pop
     alignas(64) std::atomic<std::uint64_t> tail_{0}; ///< next push
+    /// Producer-private: head_ as last loaded.
+    alignas(64) std::uint64_t headCache_ = 0;
+    /// Consumer-private: tail_ as last loaded, and the backlog gauge.
+    alignas(64) std::uint64_t tailCache_ = 0;
+    std::size_t highWater_ = 0;
 };
 
 /**
@@ -256,6 +280,26 @@ class ShardedEngine
     /** Total events executed so far, summed over all shard queues. */
     std::uint64_t executed() const;
 
+    /** One shard's synchronization accounting, cumulative over runs. */
+    struct Stats
+    {
+        /// runUntil() windows executed. The half-lookahead rule bounds
+        /// a run() over `span` to 2 * span / lookahead + 2 of them.
+        std::uint64_t windows = 0;
+        /// Times the worker parked (slept in the kernel) while waiting.
+        std::uint64_t parks = 0;
+        /// Host time spent waiting — for the horizon, for the other
+        /// shards to finish, or for room in a full ring — spinning or
+        /// parked.
+        std::uint64_t blockedNs = 0;
+        /// Largest backlog found in one of this shard's inbound rings.
+        std::size_t ringHighWater = 0;
+    };
+
+    /** Shard @p s's accounting. Read between runs, from the
+     *  controlling thread. */
+    Stats stats(unsigned s) const;
+
   private:
     struct Shard
     {
@@ -270,15 +314,30 @@ class ShardedEngine
         /// parking, oversized delegate captures), and release asserts
         /// thread ownership in debug builds.
         std::unique_ptr<EventQueue> eq = std::make_unique<EventQueue>();
-        /// Published floor on future executions: this shard will
-        /// never again run an event at a time below `clock`.
-        std::atomic<Time> clock{0};
         std::vector<std::unique_ptr<SpscRing>> in; ///< [srcShard]
         std::unordered_map<std::uint32_t, Handler> handlers;
-        std::uint64_t posted = 0;
+
+        /// Written by the worker only (read between runs).
+        alignas(64) std::uint64_t posted = 0;
+        Stats stats;
+        /// `bell` as read by the last drainInto(): a different value
+        /// means a producer rang since and may be stuck.
+        std::uint32_t drainedBell = 0;
+
+        /// Published floor on future executions: this shard will
+        /// never again run an event at a time below `clock`. Its own
+        /// cache line: neighbors poll it while they wait.
+        alignas(64) std::atomic<Time> clock{0};
+
+        /// Wake-up word for waitUntil(): bumped by a neighbor that
+        /// published a clock, finished, or freed ring space while
+        /// this shard was parked, and by a producer facing a full
+        /// ring into this shard (which then drains).
+        alignas(64) std::atomic<std::uint32_t> bell{0};
+        std::atomic<bool> parked{false};
 
         // Job mailbox (controlling thread <-> worker).
-        std::mutex mu;
+        alignas(64) std::mutex mu;
         std::condition_variable cv;
         int job = 0; ///< 0 idle, 1 invoke, 2 run, 3 exit
         const std::function<void()> *fn = nullptr;
@@ -289,6 +348,21 @@ class ShardedEngine
 
     void workerLoop(Shard &s);
     void runShard(Shard &s, Time until);
+    /** Lowest neighbor clock plus lookahead: s may run below it. */
+    Time horizon(const Shard &s) const;
+    /**
+     * Block shard @p s's worker until @p ready() holds: spin polling
+     * it (not when there are fewer CPUs than shards), then park on
+     * s.bell. Drains s's inbound rings whenever the bell has moved
+     * since the last drain, so a producer stuck on a full ring into s
+     * always gets room. ready() is not called again once it returned
+     * true, so it may act (post() pushes from it).
+     */
+    template <typename Ready>
+    void waitUntil(Shard &s, Ready ready);
+    /** Wake every parked shard but @p s. Call after publishing state
+     *  another shard may wait on. */
+    void wakeParked(const Shard &s);
     /** Pop everything available and inject it into s.eq. */
     void drainInto(Shard &s);
     /** scheduleBoundary the dispatch of @p m on shard @p s. */
@@ -300,10 +374,12 @@ class ShardedEngine
     Config cfg_;
     std::vector<std::unique_ptr<Shard>> shards_;
     bool threaded_ = false;
+    /// Polls before a waiting worker parks (0: park at once).
+    unsigned spinPolls_ = 0;
     Time lastRunUntil_ = 0;
     /// Shards that reached `until` in the current run(). Finished
     /// shards keep draining their inbound rings until every shard is
-    /// done, so a neighbor spinning on a full ring into a finished
+    /// done, so a neighbor waiting on a full ring into a finished
     /// shard cannot hang.
     std::atomic<std::size_t> runDone_{0};
 };

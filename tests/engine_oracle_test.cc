@@ -21,12 +21,18 @@
  * deadlines fall inside it, and chained callbacks schedule into it.
  * A chained event's children are planned when the ladder runs it and
  * replayed verbatim when the oracle runs the same birth.
+ *
+ * The re-armed-timer stream is a NIC-like packet chain whose callback
+ * cancels and re-arms the queue's only other event (an RTO) before it
+ * schedules its successor; besides matching the oracle, the ladder
+ * must keep its imminent-window heap small throughout.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -496,4 +502,72 @@ TEST(EngineOracle, WindowEdgesNearEndOfTimeMatchHeapEngine)
             DifferentialHarness h(seed, true, origin);
             h.run(400);
         }
+}
+
+namespace {
+
+/**
+ * One packet chain on queue @p Q: each packet cancels the RTO, re-arms
+ * it 1 ms out and only then schedules the next packet 100-400 ns
+ * later, so the RTO is the queue's only live event at re-arm time.
+ * Logs every packet and timer firing; @p onPacket sees the queue.
+ */
+template <typename Q, typename Id>
+struct RearmStream
+{
+    Q eq;
+    Id rto{};
+    std::mt19937 rng;
+    std::uint64_t left;
+    std::vector<sim::Time> log;
+    std::function<void(const Q &)> onPacket;
+
+    RearmStream(std::uint32_t seed, std::uint64_t packets)
+        : rng(seed), left(packets)
+    {
+    }
+
+    void
+    packet()
+    {
+        log.push_back(eq.now());
+        if (onPacket)
+            onPacket(eq);
+        eq.cancel(rto);
+        rto = eq.scheduleAfter(sim::kMillisecond,
+                               [this] { log.push_back(~eq.now()); });
+        if (--left != 0)
+            eq.scheduleAfter(
+                std::uniform_int_distribution<sim::Time>(100, 400)(rng),
+                [this] { packet(); });
+    }
+};
+
+} // namespace
+
+TEST(EngineOracle, RearmedTimerBeforeSuccessorMatchesHeapEngineInSmallHeap)
+{
+    for (std::uint32_t seed = 300; seed <= 303; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        constexpr std::uint64_t kPackets = 50000;
+        RearmStream<sim::EventQueue, sim::EventId> ladder(seed, kPackets);
+        RearmStream<simtest::HeapEventQueue,
+                    simtest::HeapEventQueue::EventId>
+            oracle(seed, kPackets);
+        std::size_t peakHeap = 0;
+        ladder.onPacket = [&peakHeap](const sim::EventQueue &eq) {
+            peakHeap = std::max(peakHeap, eq.curHeap_.size());
+        };
+        ladder.eq.schedule(0, [&ladder] { ladder.packet(); });
+        oracle.eq.schedule(0, [&oracle] { oracle.packet(); });
+        ladder.eq.run();
+        oracle.eq.run();
+        ASSERT_EQ(ladder.log.size(), kPackets + 1); // the last RTO fires
+        EXPECT_EQ(ladder.log, oracle.log);
+        EXPECT_EQ(ladder.eq.stats().cancelled, oracle.eq.stats().cancelled);
+        // The window holds a packet or two plus its successors; with
+        // the window anchored at the re-armed RTO instead, every
+        // packet and every cancelled RTO piled up in the heap.
+        EXPECT_LE(peakHeap, 8u);
+    }
 }

@@ -3,13 +3,18 @@
  * Sharded-engine tests (docs/SHARDING.md): the differential oracle —
  * the same cluster workload partitioned over 1, 2 and 4 shards must
  * produce bit-identical per-rank observables — plus SPSC-ring FIFO
- * properties, boundary-event ordering, and the debug-build
- * owner-thread assertions on pools and the metrics registry.
+ * properties, boundary-event ordering, the per-shard sync accounting
+ * (window bound, a dense shard beside an idle one, a run with both
+ * workers on one CPU), and the debug-build owner-thread assertions on
+ * pools and the metrics registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -82,6 +87,29 @@ TEST(SpscRing, FifoUnderConcurrentStress)
     EXPECT_TRUE(monotone) << "timestamps regressed across the ring";
     sim::BoundaryMsg m;
     EXPECT_FALSE(ring.tryPop(m)) << "ring invented a message";
+}
+
+TEST(SpscRing, CachedCursorsSeeFullAndEmptyExactly)
+{
+    // Each side reloads the other's cursor only when the ring looks
+    // full (producer) or empty (consumer); single-threaded, those
+    // reloads must still make full and empty exact, lap after lap.
+    sim::SpscRing ring(8);
+    sim::BoundaryMsg in{}, out{};
+    std::uint64_t pushed = 0, popped = 0;
+    for (int lap = 0; lap < 5; ++lap) {
+        while (ring.tryPush(in))
+            in.orderKey = ++pushed;
+        EXPECT_EQ(pushed - popped, ring.capacity()) << "lap " << lap;
+        ASSERT_TRUE(ring.tryPop(out));
+        EXPECT_EQ(out.orderKey, popped++);
+        EXPECT_TRUE(ring.tryPush(in)) << "a pop must make room at once";
+        in.orderKey = ++pushed;
+        while (ring.tryPop(out))
+            EXPECT_EQ(out.orderKey, popped++);
+        EXPECT_EQ(popped, pushed) << "lap " << lap;
+    }
+    EXPECT_EQ(ring.highWater(), ring.capacity());
 }
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
@@ -227,46 +255,92 @@ TEST(ShardedEngine, MakesProgressAtMinimalLookahead)
     EXPECT_EQ(hops.load(), kUntil) << "one hop per tick, 1..kUntil";
 }
 
+namespace {
+
+/**
+ * Pins the calling thread, and the threads it spawns from then on
+ * (shard workers inherit it), to the first CPU of its affinity mask;
+ * restores the mask when destroyed.
+ */
+class PinToOneCpu
+{
+  public:
+    PinToOneCpu()
+    {
+        EXPECT_EQ(sched_getaffinity(0, sizeof saved_, &saved_), 0);
+        int cpu = 0;
+        while (cpu < CPU_SETSIZE - 1 && !CPU_ISSET(cpu, &saved_))
+            ++cpu;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        EXPECT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    }
+
+    ~PinToOneCpu()
+    {
+        EXPECT_EQ(sched_setaffinity(0, sizeof saved_, &saved_), 0);
+    }
+
+    PinToOneCpu(const PinToOneCpu &) = delete;
+    PinToOneCpu &operator=(const PinToOneCpu &) = delete;
+
+  private:
+    cpu_set_t saved_;
+};
+
+} // namespace
+
 TEST(ShardedEngine, MutualBurstThroughFullRingsDoesNotDeadlock)
 {
     // Both shards burst far past the ring capacity at each other
-    // inside one horizon window. The producers overrun both full
-    // rings at once; post() must drain its own inbound rings while
-    // spinning, or A blocks pushing to B's full ring while B blocks
-    // pushing to A's and neither ever drains.
-    sim::ShardedEngine::Config cfg;
-    cfg.shards = 2;
-    cfg.lookahead = 10;
-    cfg.ringCapacity = 4;
-    sim::ShardedEngine engine(cfg);
+    // inside one horizon window, twenty windows in a row. The
+    // producers overrun both full rings at once; post() must drain
+    // its own inbound rings while it waits, or A blocks pushing to
+    // B's full ring while B blocks pushing to A's and neither ever
+    // drains. Pinned to one CPU, the waits park (the other shard can
+    // only drain once this one gives the CPU up), and every message
+    // must still arrive exactly once.
+    for (bool pinned : {false, true}) {
+        SCOPED_TRACE(pinned ? "pinned to one CPU" : "unpinned");
+        std::unique_ptr<PinToOneCpu> pin;
+        if (pinned)
+            pin = std::make_unique<PinToOneCpu>();
+        sim::ShardedEngine::Config cfg;
+        cfg.shards = 2;
+        cfg.lookahead = 10;
+        cfg.ringCapacity = 4;
+        sim::ShardedEngine engine(cfg);
 
-    constexpr unsigned kBurst = 64;
-    std::atomic<unsigned> got0{0}, got1{0};
-    engine.invokeOn(0, [&] {
-        engine.bind(0, 1, [&got0](const sim::BoundaryMsg &) { ++got0; });
-    });
-    engine.invokeOn(1, [&] {
-        engine.bind(1, 1, [&got1](const sim::BoundaryMsg &) { ++got1; });
-    });
-    for (unsigned s = 0; s < 2; ++s) {
-        engine.invokeOn(s, [&, s] {
-            engine.queue(s).schedule(1, [&, s] {
-                for (unsigned i = 0; i < kBurst; ++i) {
-                    sim::BoundaryMsg m{};
-                    m.when = engine.queue(s).now() + cfg.lookahead;
-                    m.orderKey = (std::uint64_t(s + 1) << 32) | i;
-                    m.kind = 1;
-                    m.srcShard = std::uint16_t(s);
-                    m.dstShard = std::uint16_t(1 - s);
-                    m.a = i;
-                    engine.post(m);
-                }
+        constexpr unsigned kBurst = 64, kRounds = 20;
+        std::vector<unsigned> got[2] = {std::vector<unsigned>(kBurst),
+                                        std::vector<unsigned>(kBurst)};
+        for (unsigned s = 0; s < 2; ++s) {
+            engine.invokeOn(s, [&, s] {
+                engine.bind(s, 1, [&got, s](const sim::BoundaryMsg &m) {
+                    ++got[s][m.a];
+                });
+                for (unsigned r = 0; r < kRounds; ++r)
+                    engine.queue(s).schedule(1 + 100 * r, [&, s, r] {
+                        for (unsigned i = 0; i < kBurst; ++i) {
+                            sim::BoundaryMsg m{};
+                            m.when = engine.queue(s).now() + cfg.lookahead;
+                            m.orderKey = (std::uint64_t(s + 1) << 32) |
+                                         (r * kBurst + i);
+                            m.kind = 1;
+                            m.srcShard = std::uint16_t(s);
+                            m.dstShard = std::uint16_t(1 - s);
+                            m.a = i;
+                            engine.post(m);
+                        }
+                    });
             });
-        });
+        }
+        engine.run(100 * kRounds);
+        for (unsigned s = 0; s < 2; ++s)
+            EXPECT_EQ(got[s], std::vector<unsigned>(kBurst, kRounds))
+                << "shard " << s;
     }
-    engine.run(100);
-    EXPECT_EQ(got0.load(), kBurst);
-    EXPECT_EQ(got1.load(), kBurst);
 }
 
 TEST(ShardedEngineDeath, LookaheadViolationAborts)
@@ -343,11 +417,13 @@ namespace {
  * Run a fixed ring-exchange workload on @p shards facets and digest
  * every per-rank observable that must not depend on the partition:
  * completion times, delivery order, QP wire counters, NPF counts.
- * (wrIds are facet-local and deliberately excluded.)
+ * (wrIds are facet-local and deliberately excluded.) The exchange
+ * completes before 0.7 ms of simulated time.
  */
 std::uint64_t
 runPartitioned(unsigned ranks, unsigned shards,
-               sim::Time lookahead = 500)
+               sim::Time lookahead = 500,
+               sim::Time until = 100 * sim::kMillisecond)
 {
     sim::ShardedEngine::Config ec;
     ec.shards = shards;
@@ -401,7 +477,7 @@ runPartitioned(unsigned ranks, unsigned shards,
         });
     }
 
-    engine.run(100 * sim::kMillisecond);
+    engine.run(until);
 
     // Gather per-rank counters first (on the owning threads), then
     // digest strictly in rank order so the digest cannot depend on
@@ -462,6 +538,133 @@ TEST(ShardDifferential, LookaheadDoesNotChangeObservables)
     std::uint64_t fine = runPartitioned(4, 2, 100);
     EXPECT_EQ(coarse, fine)
         << "lookahead changed the simulation's observables";
+}
+
+TEST(ShardDifferential, BothWorkersOnOneCpuStillMatchOneShard)
+{
+    // More shards than CPUs: each worker must give the CPU up (park)
+    // for the other to publish its clock.
+    std::uint64_t pinned;
+    {
+        PinToOneCpu pin;
+        pinned = runPartitioned(4, 2, 500, sim::kMillisecond);
+    }
+    EXPECT_EQ(pinned, runPartitioned(4, 1, 500, sim::kMillisecond))
+        << "2 shards on one CPU diverged from the 1-shard oracle";
+}
+
+// ---------------------------------------------------------------
+// Per-shard sync accounting
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * The half-lookahead rule: every window but a run's last advances the
+ * shard's clock by at least lookahead / 2, so a run() over `span`
+ * takes at most 2 * span / lookahead + 2 windows on every shard, on
+ * any machine and under any thread timing.
+ */
+void
+expectWindowBound(const sim::ShardedEngine &engine,
+                  const std::vector<std::uint64_t> &before, sim::Time span)
+{
+    for (unsigned s = 0; s < engine.shards(); ++s) {
+        std::uint64_t w = engine.stats(s).windows - before[s];
+        EXPECT_GE(w, 1u) << "shard " << s;
+        EXPECT_LE(w, 2 * span / engine.lookahead() + 2)
+            << "shard " << s << " over a span of " << span << " ns";
+    }
+}
+
+std::vector<std::uint64_t>
+windowsNow(const sim::ShardedEngine &engine)
+{
+    std::vector<std::uint64_t> w;
+    for (unsigned s = 0; s < engine.shards(); ++s)
+        w.push_back(engine.stats(s).windows);
+    return w;
+}
+
+} // namespace
+
+TEST(ShardStats, WindowsPerRunStayWithinTheHalfLookaheadBound)
+{
+    // Both shards tick every 37 ns and post to each other every tenth
+    // tick, so every window has local work and ring traffic.
+    sim::ShardedEngine::Config cfg;
+    cfg.shards = 2;
+    cfg.lookahead = 1000;
+    sim::ShardedEngine engine(cfg);
+    std::uint64_t ticks[2] = {0, 0}, delivered[2] = {0, 0};
+    std::function<void()> tick[2];
+    for (unsigned s = 0; s < 2; ++s) {
+        engine.invokeOn(s, [&, s] {
+            engine.bind(s, 1, [&delivered, s](const sim::BoundaryMsg &) {
+                ++delivered[s];
+            });
+            tick[s] = [&, s] {
+                sim::EventQueue &eq = engine.queue(s);
+                if (ticks[s]++ % 10 == 0) {
+                    sim::BoundaryMsg m{};
+                    m.when = eq.now() + cfg.lookahead;
+                    m.orderKey = ticks[s];
+                    m.kind = 1;
+                    m.srcShard = std::uint16_t(s);
+                    m.dstShard = std::uint16_t(1 - s);
+                    engine.post(m);
+                }
+                eq.scheduleAfter(37, [&tick, s] { tick[s](); });
+            };
+            engine.queue(s).schedule(0, [&tick, s] { tick[s](); });
+        });
+    }
+    sim::Time until = 0;
+    for (sim::Time span : {sim::Time(50000), sim::Time(1), sim::Time(499),
+                           sim::Time(173000), sim::Time(1000000)}) {
+        std::vector<std::uint64_t> before = windowsNow(engine);
+        until += span;
+        engine.run(until);
+        expectWindowBound(engine, before, span);
+    }
+    for (unsigned s = 0; s < 2; ++s) {
+        // Posts leave at 370 ns multiples and land a lookahead later.
+        EXPECT_EQ(delivered[s], (until - cfg.lookahead) / 370 + 1);
+        EXPECT_EQ(engine.queue(s).now(), until);
+        sim::ShardedEngine::Stats st = engine.stats(s);
+        EXPECT_GE(st.ringHighWater, 1u) << "shard " << s;
+        EXPECT_LE(st.ringHighWater, cfg.ringCapacity) << "shard " << s;
+    }
+}
+
+TEST(ShardStats, DenseShardBesideIdleShard)
+{
+    // Shard 0 runs an event every 5 ns; shard 1 has nothing at all.
+    // The idle shard must still keep pace window by window (its clock
+    // is shard 0's horizon), and neither may exceed the window bound.
+    sim::ShardedEngine::Config cfg;
+    cfg.shards = 2;
+    cfg.lookahead = 2500;
+    sim::ShardedEngine engine(cfg);
+    constexpr sim::Time kSpan = 500000;
+    std::uint64_t fired = 0;
+    std::function<void()> tick;
+    engine.invokeOn(0, [&] {
+        tick = [&] {
+            ++fired;
+            if (engine.queue(0).now() + 5 <= kSpan)
+                engine.queue(0).scheduleAfter(5, [&tick] { tick(); });
+        };
+        engine.queue(0).schedule(0, [&tick] { tick(); });
+    });
+    std::vector<std::uint64_t> before = windowsNow(engine);
+    engine.run(kSpan);
+    expectWindowBound(engine, before, kSpan);
+    EXPECT_EQ(fired, kSpan / 5 + 1);
+    EXPECT_EQ(engine.queue(1).stats().executed, 0u);
+    EXPECT_EQ(engine.queue(1).now(), kSpan);
+    EXPECT_EQ(engine.stats(0).ringHighWater, 0u);
+    EXPECT_EQ(engine.stats(1).ringHighWater, 0u);
 }
 
 // ---------------------------------------------------------------

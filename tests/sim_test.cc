@@ -513,6 +513,30 @@ TEST(EventQueue, SparseStreamScansWheelsOncePerWindow)
         << double(st.wheelScans) / double(st.executed);
 }
 
+TEST(EventQueue, QueueParkedAtFarFutureRecovers)
+{
+    // A lone "never" timer is pulled in from the overflow list, which
+    // moves the imminent window next to it; cancelling it leaves the
+    // queue empty with its window parked there. Events scheduled
+    // afterwards, near now, must still run on time and in order.
+    sim::EventQueue eq;
+    sim::EventId never = eq.schedule(sim::kTimeMax - 5, [] {});
+    eq.runUntil(1000);
+    ASSERT_GT(eq.base_, sim::Time(1) << 62) << "window not parked far";
+    eq.cancel(never);
+    std::vector<sim::Time> fired;
+    for (sim::Time t : {sim::Time(1000), sim::Time(1200),
+                        sim::Time(1) << 20, sim::Time(1) << 40})
+        eq.schedule(t, [&] { fired.push_back(eq.now()); });
+    // The window moved back to now: the later events wait in the
+    // wheels, not in the imminent-window heap.
+    EXPECT_LE(eq.base_, eq.now());
+    EXPECT_LE(eq.curHeap_.size(), 2u); // the 1000 ns event + a ghost
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<sim::Time>{1000, 1200, sim::Time(1) << 20,
+                                             sim::Time(1) << 40}));
+}
+
 TEST(EventQueue, CancelFromInsideCallbacks)
 {
     sim::EventQueue eq;
